@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .padicring import smith_normal_form
+from .padicring import is_squarefree, smith_normal_form
 
 
 @dataclass(frozen=True, order=True)
@@ -110,20 +110,11 @@ def is_fundamental(d: int) -> bool:
     if d >= 0:
         return False
     if d % 4 == 1:
-        return _squarefree(-d)
+        return is_squarefree(-d)
     if d % 4 == 0:
         m = d // 4
-        return m % 4 in (2, 3) and _squarefree(-m)
+        return m % 4 in (2, 3) and is_squarefree(-m)
     return False
-
-
-def _squarefree(n: int) -> bool:
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
 
 
 def reduced_forms(d: int):

@@ -6,8 +6,10 @@ canonical sorted-monomial text form.  The BZ_SEED environment variable
 overrides the seed of the randomized property suites, and the seed used is
 always part of the report.
 
-Exit status: 0 on success, 1 when a verification suite fails, 2 for usage
-errors.
+Exit status: 0 on success, 1 when a verification suite or check fails, 2
+for usage errors, which include an input the library rejects (a
+ValueError or ZeroDivisionError outside ``verify``), reported in one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _rep(args, trivial: bool = True) -> LocalRep:
     if not values:
         values = [Fraction(1)] * slots
     if len(values) != slots:
-        raise SystemExit(f"type {args.type} takes {slots} Satake values")
+        raise ValueError(f"type {args.type} takes {slots} Satake values")
     return LocalRep(args.type, tuple(values))
 
 
@@ -78,10 +80,7 @@ def cmd_verify(args) -> int:
             print(f"unknown suite {n!r}; known: all, {', '.join(suites.SUITES)}",
                   file=sys.stderr)
             return 2
-    if args.jobs > 1 and args.suite == "all":
-        reports = suites.run_all(jobs=args.jobs)
-    else:
-        reports = [suites.run_suite(n) for n in names]
+    reports = [suites.run_suite(n) for n in names]
     ok = all(r["ok"] for r in reports)
     _emit(
         {
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     for name, fn in (("lfactor", cmd_lfactor), ("period", cmd_period)):
@@ -355,7 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.func is cmd_verify:
+        return cmd_verify(args)  # a failed check is exit 1, never a usage error
+    try:
+        return args.func(args)
+    except (ValueError, ZeroDivisionError) as exc:
+        # the library validates its inputs at its boundary, so here these
+        # mean an argument was rejected
+        print(f"besselzeta {args.cmd}: error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import mpmath
 
 from .localrep import spinor_lfactor
-from .padicring import MultChar, ResidueRing, gauss_sum_F
+from .padicring import MultChar, ResidueRing, factorize, gauss_sum_F, is_squarefree
 
 _TWO_PI = 2 * math.pi
 
@@ -67,22 +67,6 @@ def mellin_gamma_pin(sigma: float, d: int) -> dict:
 # Dirichlet characters mod odd M, built from residue-ring characters by CRT
 
 
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 class DirichletChar:
     """A Dirichlet character modulo odd M as a CRT product of residue-ring
     characters; M = 1 gives the trivial character."""
@@ -91,7 +75,7 @@ class DirichletChar:
         if modulus < 1 or modulus % 2 == 0:
             raise ValueError("modulus must be odd and positive")
         self.modulus = modulus
-        self.factors = _factorize(modulus)
+        self.factors = factorize(modulus)
         if len(exponents) != len(self.factors):
             raise ValueError("one exponent per prime power of the modulus")
         self.components = tuple(
@@ -101,13 +85,13 @@ class DirichletChar:
 
     @staticmethod
     def trivial(modulus: int = 1) -> "DirichletChar":
-        return DirichletChar(modulus, tuple(0 for _ in _factorize(modulus)))
+        return DirichletChar(modulus, tuple(0 for _ in factorize(modulus)))
 
     @staticmethod
     def quadratic(modulus: int) -> "DirichletChar":
         """The real character that is the Legendre symbol at each prime
         factor (modulus odd squarefree)."""
-        facs = _factorize(modulus)
+        facs = factorize(modulus)
         if any(k != 1 for _, k in facs):
             raise ValueError("quadratic character needs a squarefree modulus")
         return DirichletChar(modulus, tuple((p - 1) // 2 for p, _ in facs))
@@ -174,15 +158,6 @@ def kronecker_at_prime(d: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _squarefree(n: int) -> bool:
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
 @dataclass(frozen=True)
 class GlobalParams:
     """Global data (D, l1, l2, N, M, mu-tilde) with the standing hypotheses
@@ -203,7 +178,7 @@ class GlobalParams:
 
         if not is_fundamental(self.D):
             raise ValueError("D must be a fundamental discriminant < 0")
-        if self.N < 1 or not _squarefree(self.N):
+        if self.N < 1 or not is_squarefree(self.N):
             raise ValueError("N must be a squarefree positive integer")
         if not (self.l1 >= self.l2 >= 3 and (self.l1 - self.l2) % 2 == 0):
             raise ValueError("need l1 >= l2 >= 3 with l1 = l2 mod 2")
@@ -215,7 +190,7 @@ class GlobalParams:
         if chi.modulus != self.M:
             raise ValueError("character modulus differs from M")
         object.__setattr__(self, "chi", chi)
-        for p, _ in _factorize(self.N * self.M):
+        for p, _ in factorize(self.N * self.M):
             if kronecker_at_prime(self.D, p) != -1:
                 raise ValueError(f"prime {p} of N M is not inert in Q(sqrt D)")
         for p in self.S:
@@ -230,7 +205,7 @@ class GlobalParams:
 def siegel_index(n: int) -> int:
     """[K_f : K_0(N)] = prod over p | N of p^3 (1 + p^-1)(1 + p^-2)."""
     out = 1
-    for p, _ in _factorize(n):
+    for p, _ in factorize(n):
         out *= (p**2 + 1) * (p + 1) * p**0  # p^3(1+1/p)(1+1/p^2)
     return out
 
@@ -238,7 +213,7 @@ def siegel_index(n: int) -> int:
 def zeta_partial(n: int, s: int) -> float:
     """zeta_M(s) = prod over p | M of (1 - p^-s)^{-1}."""
     out = 1.0
-    for p, _ in _factorize(n):
+    for p, _ in factorize(n):
         out /= 1 - p ** (-s)
     return out
 
@@ -282,7 +257,7 @@ def average_prefactor(s: complex, gp: GlobalParams, v_norm: float = 1.0) -> comp
         * gp.chi.gauss_sum()
     )
     n_part = gp.N ** (s - 1) * gp.chi.inverse()(gp.N % gp.M if gp.M > 1 else 1)
-    for p, _ in _factorize(gp.N):
+    for p, _ in factorize(gp.N):
         n_part /= 1 + p**-2
     return lead * m_part * n_part * v_norm**2
 

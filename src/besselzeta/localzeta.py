@@ -26,13 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .localrep import LocalRep, TwistData, UNRAMIFIED, shift_half, spinor_lfactor, std_lfactor
+from .localrep import (
+    LocalRep,
+    TwistData,
+    UNRAMIFIED,
+    dims,
+    shift_half,
+    spinor_lfactor,
+    std_lfactor,
+)
 from .symfield import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
     RatMatrix,
-    geom_resolvent,
     rf_var,
 )
 
@@ -137,14 +144,13 @@ def _require_trivial_cc(rep: LocalRep, what: str):
 
 
 def _series_linear_forms(rep: LocalRep, x: RatFunc):
-    """Row vector b^T (I - q^{-3} x T_{1,0})^{-1} over the fixed basis."""
+    """Row vector b^T (I - q^{-3} x T_{1,0})^{-1} over the fixed basis,
+    solved as (I - q^{-3} x T_{1,0})^T y = b."""
     pair = hecke_matrices(rep)
-    res = geom_resolvent(pair.t10, RatFunc.coerce(x) * _Q**-6)
-    b = bessel_identity_values(rep)
-    n = res.rows
-    row = [
-        sum((b[i] * res[i, j] for i in range(n)), RF_ZERO) for j in range(n)
-    ]
+    n = pair.t10.rows
+    system = RatMatrix.identity(n) - pair.t10.scale(RatFunc.coerce(x) * _Q**-6)
+    b = RatMatrix([[v] for v in bessel_identity_values(rep)])
+    row = system.transpose().solve(b).transpose().entries[0]
     return row, pair
 
 
@@ -208,12 +214,20 @@ def zeta_case1(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
     return mu_l_lfactor(twist) * diag_series(rep, x0)
 
 
-def _unit_vector(n: int, i: int):
-    return [RF_ONE if j == i else RF_ZERO for j in range(n)]
-
-
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), RF_ZERO)
+
+
+def _column(m: RatMatrix, j: int) -> list:
+    return [m[i, j] for i in range(m.rows)]
+
+
+def _check_index(rep: LocalRep, index: int):
+    n = dims(rep)[1]
+    if not 0 <= index < n:
+        raise ValueError(
+            f"basis index {index} out of range for type {rep.tag} (0..{n - 1})"
+        )
 
 
 def zeta_case4_series(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
@@ -222,14 +236,11 @@ def zeta_case4_series(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
     Z(phi, B_i, s, mu; eta) = L(s+1, mu_L)/(q^2+1) *
         { sum_l (eta B_i)(h(l,0)) X_0^l + q^{s+1} u^{-1} sum_l B_i(h(l,0)) X_0^l }.
     """
-    _check_case4_args(rep, twist)
+    _check_case4_args(rep, twist, index)
     x0 = twist.u * _T * _Q**2
     row, pair = _series_linear_forms(rep, x0)
-    n = len(row)
-    v = _unit_vector(n, index)
-    eta_v = [_dot(pair.eta.entries[i], v) for i in range(n)]
     qs1 = _T.inv() * _Q**2  # q^{s+1}
-    series = _dot(row, eta_v) + qs1 * twist.u.inv() * _dot(row, v)
+    series = _dot(row, _column(pair.eta, index)) + qs1 * twist.u.inv() * row[index]
     return mu_l_lfactor(twist) * series / (_Q**4 + 1)
 
 
@@ -239,24 +250,25 @@ def zeta_case4(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
     L(s+1/2,pi,mu)/(q^2+1) * [eta B + q^{-1} T_{1,0} B
         + {u^{-1} q^{s+1} + u q^{-s+1} - tr(q^{-1} T_{1,0} + eta)} B](1_4).
     """
-    _check_case4_args(rep, twist)
+    return _case4_over_l(rep, twist, index) * shift_half(spinor_lfactor(rep, twist))
+
+
+def _case4_over_l(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
+    """zeta_case4 divided by L(s+1/2, pi, mu)."""
+    _check_case4_args(rep, twist, index)
     pair = hecke_matrices(rep)
     b = bessel_identity_values(rep)
-    n = len(b)
-    v = _unit_vector(n, index)
-    eta_v = [_dot(pair.eta.entries[i], v) for i in range(n)]
-    t10_v = [_dot(pair.t10.entries[i], v) for i in range(n)]
     tr = (pair.t10.scale(_Q**-2) + pair.eta).trace()
     qs1, qms1 = _T.inv() * _Q**2, _T * _Q**2
     bracket = (
-        _dot(b, eta_v)
-        + _Q**-2 * _dot(b, t10_v)
-        + (twist.u.inv() * qs1 + twist.u * qms1 - tr) * _dot(b, v)
+        _dot(b, _column(pair.eta, index))
+        + _Q**-2 * _dot(b, _column(pair.t10, index))
+        + (twist.u.inv() * qs1 + twist.u * qms1 - tr) * b[index]
     )
-    return shift_half(spinor_lfactor(rep, twist)) * bracket / (_Q**4 + 1)
+    return bracket / (_Q**4 + 1)
 
 
-def _check_case4_args(rep, twist):
+def _check_case4_args(rep, twist, index):
     if rep.tag not in ("I", "IIb"):
         raise ValueError("case 4 needs type I or IIb")
     _require_trivial_cc(rep, "case 4")
@@ -264,6 +276,7 @@ def _check_case4_args(rep, twist):
         raise ValueError("case 4 needs an unramified twist")
     if twist.lam != RF_ONE:
         raise ValueError("case 4 is stated for Lambda = 1")
+    _check_index(rep, index)
 
 
 def zeta_case5_6(rep: LocalRep, twist: TwistData = UNRAMIFIED, index: int = 0) -> RatFunc:
@@ -274,30 +287,34 @@ def zeta_case5_6(rep: LocalRep, twist: TwistData = UNRAMIFIED, index: int = 0) -
     The display keeps Lambda(pi) symbolic; the series identity behind it
     holds under trivial central character, where Lambda(pi) = 1.
     """
-    if rep.tag not in ("IIIa", "VIb"):
-        raise ValueError("cases 5/6 need type IIIa or VIb")
-    if not twist.unramified:
-        raise ValueError("cases 5/6 need an unramified twist")
-    b1 = bessel_identity_values(rep)[index]
+    return _case5_6_over_l(rep, twist, index) * shift_half(spinor_lfactor(rep, twist))
+
+
+def _case5_6_over_l(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
+    """zeta_case5_6 divided by L(s+1/2, pi, mu)."""
+    _check_case5_6_args(rep, twist, index)
     qs1 = _T.inv() * _Q**2
     lead = twist.lam.inv() * twist.u.inv() * qs1 / (_Q**4 + 1)
-    return lead * shift_half(spinor_lfactor(rep, twist)) * b1
+    return lead * bessel_identity_values(rep)[index]
 
 
 def zeta_case5_6_series(rep: LocalRep, twist: TwistData, index: int = 0) -> RatFunc:
     """Cases 5/6 by the geometric-series route (eigen-data matrices)."""
+    _check_case5_6_args(rep, twist, index)
+    x0 = twist.u * _T * _Q**2
+    row, pair = _series_linear_forms(rep, x0)
+    qs1 = _T.inv() * _Q**2
+    series = (_dot(row, _column(pair.eta, index))
+              + qs1 * twist.lam.inv() * twist.u.inv() * row[index])
+    return mu_l_lfactor(twist) * series / (_Q**4 + 1)
+
+
+def _check_case5_6_args(rep, twist, index):
     if rep.tag not in ("IIIa", "VIb"):
         raise ValueError("cases 5/6 need type IIIa or VIb")
     if not twist.unramified:
         raise ValueError("cases 5/6 need an unramified twist")
-    x0 = twist.u * _T * _Q**2
-    row, pair = _series_linear_forms(rep, x0)
-    n = len(row)
-    v = _unit_vector(n, index)
-    eta_v = [_dot(pair.eta.entries[i], v) for i in range(n)]
-    qs1 = _T.inv() * _Q**2
-    series = _dot(row, eta_v) + qs1 * twist.lam.inv() * twist.u.inv() * _dot(row, v)
-    return mu_l_lfactor(twist) * series / (_Q**4 + 1)
+    _check_index(rep, index)
 
 
 def local_period(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
@@ -308,24 +325,13 @@ def local_period(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
     alpha -> alpha^-1 etc.  Everything stays inside the rational-function
     field because only |B(1_4)|^2 / <B|B> combinations appear.
     """
+    z_star = _case4_over_l if rep.tag in ("I", "IIb") else _case5_6_over_l
     conj = rep.conjugation_map()
     b = bessel_identity_values(rep)
     norms = bessel_norms(rep)
-    n = len(b)
-    if rep.tag in ("I", "IIb"):
-        spin = shift_half(spinor_lfactor(rep, twist))
-        total = RF_ZERO
-        for i in range(n):
-            z_star = zeta_case4(rep, twist, i) / spin
-            total = total + z_star * b[i].subst(conj) / norms[i]
-        return total
-    if not twist.unramified:
-        raise ValueError("local period needs an unramified twist")
-    spin = shift_half(spinor_lfactor(rep, twist))
     total = RF_ZERO
-    for i in range(n):
-        z_star = zeta_case5_6(rep, twist, i) / spin
-        total = total + z_star * b[i].subst(conj) / norms[i]
+    for i in range(len(b)):
+        total = total + z_star(rep, twist, i) * b[i].subst(conj) / norms[i]
     return total
 
 
@@ -369,35 +375,16 @@ def recursion_consistency(rep: LocalRep) -> dict:
         [zero, zero, -(q**2 - 1), kappa * q**-3 * (1 - q),
          kappa * a * q**-2 * (q - 1)],
     ]
-    solution = _solve_linear(rows)
-    if solution is None:
-        raise ValueError("inconsistent recursion system: implementation bug")
+    system = RatMatrix([r[:4] for r in rows])
+    solution = system.solve(RatMatrix([r[4:] for r in rows])).transpose().entries[0]
     b2_general = solution[3]
     lam = a * g**2
     b2_at_lambda = b2_general.subst({"K": lam})
     return {
         "unknowns": ("B1(s2)", "B1(h(-1,1)s1s2)", "B1(h(0,1)s1s2)", "B2(1_4)"),
-        "solution": tuple(solution),
+        "solution": solution,
         "b2_general": b2_general,
         "kappa_value": lam,
         "b2_at_kappa": b2_at_lambda,
         "matches_alpha_inverse": b2_at_lambda == a.inv(),
     }
-
-
-def _solve_linear(aug_rows):
-    """Gaussian elimination on an augmented system over the RatFunc field."""
-    n = len(aug_rows)
-    work = [list(r) for r in aug_rows]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_p = work[col][col].inv()
-        work[col] = [e * inv_p for e in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n] for row in work]

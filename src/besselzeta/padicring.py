@@ -24,15 +24,31 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+@lru_cache(maxsize=None)
+def factorize(n: int) -> tuple:
+    """Prime factorization of n >= 1 by trial division: ((p, k), ...) with
+    p increasing; factorize(1) is ()."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            out.append((d, k))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def is_squarefree(n: int) -> bool:
+    return all(k == 1 for _, k in factorize(n))
+
+
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p > 2 and factorize(p) == ((p, 1),)
 
 
 def ord_p(x: Fraction, p: int) -> int:
@@ -84,7 +100,7 @@ class ResidueRing:
         p, pe = self.p, self.modulus
         for g in range(2, p):
             if all(
-                pow(g, (p - 1) // r, p) != 1 for r in _prime_factors(p - 1)
+                pow(g, (p - 1) // r, p) != 1 for r, _ in factorize(p - 1)
             ):
                 if self.e == 1 or pow(g, p - 1, p * p) != 1:
                     return g
@@ -105,21 +121,6 @@ class ResidueRing:
 
     def __repr__(self):
         return f"ResidueRing(p={self.p}, e={self.e})"
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 class MultChar:
@@ -372,18 +373,6 @@ def norm_char_sum(gring: GaloisRing, mu: MultChar, u: int) -> complex:
 
 # ---------------------------------------------------------------------------
 # Smith normal form (2x2 over Z, with unimodular transforms)
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qout = old_r // r
-        old_r, r = r, old_r - qout * r
-        old_s, s = s, old_s - qout * s
-        old_t, t = t, old_t - qout * t
-    return old_r, old_s, old_t
 
 
 def smith_normal_form(m) -> tuple:

@@ -510,7 +510,7 @@ def suite_global_eps() -> dict:
     import itertools
 
     for m in (5, 7, 9, 11, 13):
-        facs = ga._factorize(m)
+        facs = pr.factorize(m)
         ranges = [range(pr.ResidueRing(p, k).unit_order) for p, k in facs]
         worst = 0.0
         n_prim = 0
@@ -585,12 +585,3 @@ def run_suite(name: str) -> dict:
         raise KeyError(f"unknown suite {name!r}")
     return SUITES[name]()
 
-
-def run_all(jobs: int = 1) -> list:
-    names = list(SUITES)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_suite, names))
-    return [run_suite(n) for n in names]

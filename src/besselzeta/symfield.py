@@ -646,25 +646,46 @@ class RatMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self.entries[i][i] for i in range(self.rows)), RF_ZERO)
 
-    def inverse(self) -> "RatMatrix":
-        """Exact inverse by Gauss-Jordan elimination over the RatFunc field."""
+    def solve(self, rhs: "RatMatrix") -> "RatMatrix":
+        """The X with self * X == rhs, by Gauss-Jordan elimination over the
+        RatFunc field.  Raises ValueError if self is singular.
+
+        Rows are cleared below each pivot first and above them afterwards,
+        last pivot first, so a triangular system of either orientation
+        costs one substitution sweep.
+        """
         if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
+            raise ValueError("solve needs a square matrix")
+        if rhs.rows != self.rows:
+            raise ValueError("matrix shape mismatch in solve")
         n = self.rows
-        work = [list(row) + list(ident_row) for row, ident_row in
-                zip(self.entries, RatMatrix.identity(n).entries)]
+        work = [list(row) + list(rhs_row) for row, rhs_row in
+                zip(self.entries, rhs.entries)]
+
+        def eliminate(r, col):
+            # work[col] is zero left of col, so only entries from col on change
+            factor = work[r][col]
+            if not factor.is_zero:
+                work[r][col:] = [a - factor * b
+                                 for a, b in zip(work[r][col:], work[col][col:])]
+
         for col in range(n):
             pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
             if pivot is None:
                 raise ValueError("singular matrix")
             work[col], work[pivot] = work[pivot], work[col]
             inv_p = work[col][col].inv()
-            work[col] = [e * inv_p for e in work[col]]
-            for r in range(n):
-                if r != col and not work[r][col].is_zero:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+            work[col][col:] = [e * inv_p for e in work[col][col:]]
+            for r in range(col + 1, n):
+                eliminate(r, col)
+        for col in reversed(range(n)):
+            for r in range(col):
+                eliminate(r, col)
         return RatMatrix([row[n:] for row in work])
+
+    def inverse(self) -> "RatMatrix":
+        """Exact inverse, solve(identity)."""
+        return self.solve(RatMatrix.identity(self.rows))
 
     def subst(self, bindings) -> "RatMatrix":
         return RatMatrix([[e.subst(bindings) for e in row] for row in self.entries])

@@ -1,12 +1,22 @@
 """Acceptance gate: every criterion suite must pass at its stated tolerance
 and inside its stated runtime budget.  One line is printed per criterion.
+
+At the default seed, the report of each suite that prints no floats must
+equal, byte for byte, its entry in the benchmark's golden
+`verify --suite all` report.  Float-printing suites are checked there only.
 """
 
+import json
+import os
 import time
+from pathlib import Path
 
 import pytest
 
 from besselzeta.suites import RUNTIME_LIMITS, SUITES, run_suite
+
+GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "verify_all.seed831.json"
+EXACT_SUITES = ("case1", "case4", "case56_periods", "y_eta", "classgroup")
 
 CRITERIA = [
     ("case1", "1. case-1 identity: series route = spinor L at shift 1/2, exact"),
@@ -36,6 +46,10 @@ def test_acceptance_criterion(name, label):
     assert elapsed <= RUNTIME_LIMITS[name], (
         f"suite {name} took {elapsed:.2f}s, over the stated {RUNTIME_LIMITS[name]}s"
     )
+    if name in EXACT_SUITES and not os.environ.get("BZ_SEED"):
+        golden = next(r for r in json.loads(GOLDEN.read_text())["suites"]
+                      if r["suite"] == name)
+        assert json.dumps(report, indent=2) == json.dumps(golden, indent=2)
 
 
 def test_every_suite_is_an_acceptance_criterion():

@@ -1,10 +1,14 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+from besselzeta import suites
 from besselzeta.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(argv):
@@ -120,3 +124,50 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["lfactor", "--type", "VII"])
     assert exc.value.code == 2
+
+
+# the README examples whose output is exact, compared byte for byte
+README_EXAMPLES = [
+    ("lfactor", ["lfactor", "--type", "IIIa", "--symbolic"]),
+    ("zeta_local", ["zeta-local", "--case", "4", "--type", "I", "--symbolic",
+                    "--index", "2"]),
+    ("period", ["period", "--type", "IIb", "--symbolic"]),
+    ("gauss_smith", ["gauss", "--p", "3", "--check", "smith", "--matrix", "2,7;4,9"]),
+    ("classgroup", ["classgroup", "--D", "-23"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", README_EXAMPLES, ids=[n for n, _ in README_EXAMPLES])
+def test_readme_example_golden(name, argv):
+    code, out = _run(argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauss", "--p", "4", "--check", "split"],
+    ["classgroup", "--D", "5"],
+    ["lfactor", "--type", "I", "--u", "1/0"],
+    ["lfactor", "--type", "I", "--satake", "1,2"],
+    ["zeta-local", "--case", "4", "--type", "I", "--symbolic", "--index", "9"],
+    ["zeta-local", "--case", "5", "--type", "IIIa", "--symbolic", "--index", "-1"],
+])
+def test_rejected_input_exits_2(argv, capsys):
+    code, out = _run(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error" in err
+
+
+def test_verify_failure_is_not_a_usage_error(monkeypatch):
+    report = {"suite": "tfactor", "seed": 0, "cases": [], "summary": {}, "ok": False}
+    monkeypatch.setitem(suites.SUITES, "tfactor", lambda: report)
+    code, out = _run(["verify", "--suite", "tfactor"])
+    assert code == 1 and json.loads(out)["ok"] is False
+
+    def broken():
+        raise ValueError("suite bug")
+
+    monkeypatch.setitem(suites.SUITES, "tfactor", broken)
+    with pytest.raises(ValueError):
+        main(["verify", "--suite", "tfactor"])

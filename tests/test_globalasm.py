@@ -59,9 +59,9 @@ def test_dirichlet_char_basics():
 def test_gauss_sum_crt_equals_direct():
     for m in (5, 9, 15, 35, 45):
         facs_ranges = []
-        from besselzeta.globalasm import _factorize
+        from besselzeta.padicring import factorize
 
-        for p, k in _factorize(m):
+        for p, k in factorize(m):
             facs_ranges.append(range(ResidueRing(p, k).unit_order))
         for expo in itertools.product(*facs_ranges):
             chi = DirichletChar(m, expo)
@@ -72,10 +72,10 @@ def test_gauss_sum_crt_equals_direct():
 
 
 def test_gauss_modulus_for_primitive():
-    from besselzeta.globalasm import _factorize
+    from besselzeta.padicring import factorize
 
     for m in (5, 7, 9, 11, 13):
-        ranges = [range(ResidueRing(p, k).unit_order) for p, k in _factorize(m)]
+        ranges = [range(ResidueRing(p, k).unit_order) for p, k in factorize(m)]
         n_prim = 0
         for expo in itertools.product(*ranges):
             chi = DirichletChar(m, expo)

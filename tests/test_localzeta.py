@@ -178,6 +178,14 @@ def test_case4_preconditions():
         zeta_case4(LocalRep.symbolic("IIIa"), TW, 0)
 
 
+@pytest.mark.parametrize("fn", [zeta_case4, zeta_case4_series])
+def test_case4_basis_index_in_range(fn):
+    rep = LocalRep.symbolic_trivial("I")
+    for index in (-1, 4, 9):  # type I has the 4 basis vectors 0..3
+        with pytest.raises(ValueError):
+            fn(rep, TW, index)
+
+
 def test_case5_6_closed_forms():
     rep3 = LocalRep.symbolic_trivial("IIIa")
     z0 = zeta_case5_6(rep3, TwistData(u=U, lam=L), 0)
@@ -197,6 +205,15 @@ def test_case5_6_series_equality_under_constraints():
     for sign in (1, -1):
         rep6 = LocalRep.symbolic_trivial("VIb", sign)
         assert zeta_case5_6(rep6, TW, 0) == zeta_case5_6_series(rep6, TW, 0)
+
+
+@pytest.mark.parametrize("fn", [zeta_case5_6, zeta_case5_6_series])
+def test_case5_6_basis_index_in_range(fn):
+    for tag, n in (("IIIa", 2), ("VIb", 1)):
+        rep = LocalRep.symbolic_trivial(tag)
+        for index in (-1, n, 5):
+            with pytest.raises(ValueError):
+                fn(rep, TW, index)
 
 
 def test_local_periods_match_displays():

@@ -12,9 +12,12 @@ from besselzeta.padicring import (
     GaloisRing,
     MultChar,
     ResidueRing,
+    factorize,
     gauss_sum_F,
     gauss_sum_L,
     gauss_sum_lemma_value,
+    is_odd_prime,
+    is_squarefree,
     mu_L_conductor,
     norm_char_sum,
     ord_p,
@@ -304,3 +307,14 @@ def test_rational_mod():
 def test_smith_normal_form_rectangular():
     diag, u, v = smith_normal_form([[2, 4, 6], [4, 8, 12]])
     assert diag[0] == 2 and diag[1] == 0
+
+
+def test_factorization_helpers_against_brute_force():
+    for n in range(1, 2001):
+        facs = factorize(n)
+        assert math.prod(p**k for p, k in facs) == n
+        assert [p for p, _ in facs] == sorted({p for p, _ in facs})
+        assert all(all(p % d for d in range(2, p)) for p, _ in facs)
+        assert is_squarefree(n) == all(n % (d * d) for d in range(2, n + 1))
+        assert is_odd_prime(n) == (n > 2 and n % 2 == 1
+                                   and all(n % d for d in range(2, n)))

@@ -152,6 +152,22 @@ def test_geom_resolvent_inverse_property():
     assert res * (RatMatrix.identity(3) - m.scale(x)) == RatMatrix.identity(3)
 
 
+def test_solve_two_column_rhs():
+    m = RatMatrix([[A, RF_ONE, T], [RF_ZERO, Q, A], [T, RF_ZERO, RF_ONE]])
+    rhs = RatMatrix([[RF_ONE, B], [Q, RF_ZERO], [RF_ZERO, A * T]])
+    assert m * m.solve(rhs) == rhs
+    # the same system with a zero in the first pivot position
+    swap = RatMatrix([m.entries[1], m.entries[0], m.entries[2]])
+    swap_rhs = RatMatrix([rhs.entries[1], rhs.entries[0], rhs.entries[2]])
+    assert swap.solve(swap_rhs) == m.solve(rhs)
+
+
+def test_solve_singular_raises():
+    m = RatMatrix([[A, T], [A * Q, T * Q]])
+    with pytest.raises(ValueError):
+        m.solve(RatMatrix([[RF_ONE], [RF_ZERO]]))
+
+
 def test_geom_resolvent_table4_partial_sums():
     # brute-force partial sums agree with the closed resolvent through
     # degree 20 for the scaled lower-triangular Hecke matrix
