@@ -24,8 +24,8 @@ from . import globalasm as ga
 from . import localzeta as lz
 from . import padicring as pr
 from . import suites
-from .localrep import LocalRep, TwistData, spinor_lfactor, std_lfactor
-from .symfield import RatFunc, rf_var
+from .localrep import LocalRep, TwistData, shift_half, spinor_lfactor, std_lfactor
+from .symfield import RF_ONE, RatFunc, rf_var
 
 SCHEMA = "1"
 
@@ -115,19 +115,23 @@ def cmd_zeta_local(args) -> int:
     tw = _twist(args)
     case = args.case
     if case == "1":
-        closed = lz.zeta_case1(rep, tw)
-        series = closed  # case 1 is computed by the series route itself
-        match = True
+        # the spherical vector has no basis index, and the identity with
+        # the L-factor holds at Lambda(pi) = 1 only
+        if args.index != 0:
+            raise ValueError("case 1 has no basis index; --index must be 0")
+        if tw.lam != RF_ONE:
+            raise ValueError("case 1 is checked at Lambda(pi) = 1; --lam must be 1")
+        closed = shift_half(spinor_lfactor(rep, tw))
+        series = lz.zeta_case1(rep, tw)
     elif case == "4":
         closed = lz.zeta_case4(rep, tw, args.index)
         series = lz.zeta_case4_series(rep, tw, args.index)
-        match = closed == series
     elif case in ("5", "6"):
         closed = lz.zeta_case5_6(rep, tw, args.index)
         series = lz.zeta_case5_6_series(rep, tw, args.index)
-        match = closed == series
     else:
         raise SystemExit(f"unsupported case {case}")
+    match = closed == series
     _emit(
         {
             "command": "zeta-local",
@@ -238,12 +242,21 @@ def cmd_classgroup(args) -> int:
 
 
 def cmd_average(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    chi = ga.DirichletChar(cfg["M"], tuple(cfg.get("chi", [])))
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    try:
+        m, d, l1, l2 = cfg["M"], cfg["D"], cfg["l1"], cfg["l2"]
+    except KeyError as exc:
+        raise ValueError(f"config has no key {exc}") from exc
+    chi = ga.DirichletChar(m, tuple(cfg.get("chi", [])))
     gp = ga.GlobalParams(
-        D=cfg["D"], l1=cfg["l1"], l2=cfg["l2"], N=cfg.get("N", 1),
-        M=cfg.get("M", 1), chi=chi, S=tuple(cfg.get("S", ())),
+        D=d, l1=l1, l2=l2, N=cfg.get("N", 1),
+        M=m, chi=chi, S=tuple(cfg.get("S", ())),
     )
     s_re, s_im = cfg.get("s", [0.0, 0.0])
     s = complex(s_re, s_im)

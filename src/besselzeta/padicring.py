@@ -11,8 +11,7 @@ The Galois ring GR(p^e, 2) is realized as Z/p^e[x]/(x^2 - c) with c a
 quadratic non-residue mod p; the nontrivial automorphism is x -> -x, so
 norm and trace are N(a+bx) = a^2 - c b^2 and tr(a+bx) = 2a.
 
-Enumeration kernels are pure functions over immutable ring tables and may
-be partitioned across threads.
+Enumeration kernels are pure functions over immutable ring tables.
 """
 
 from __future__ import annotations
@@ -309,9 +308,8 @@ def gauss_sum_lemma_value(mu: MultChar, n: int, pi_choice: complex = 1.0) -> com
 
 def mu_L_conductor(mu: MultChar, gring: GaloisRing) -> int:
     """Conductor of mu composed with the Galois-ring norm."""
-    p, e = gring.p, gring.e
+    e = gring.e
     for f in range(e + 1):
-        step = p**f
         trivial = True
         for z in gring.units() if f == 0 else _one_plus_pf(gring, f):
             nz = gring.norm(z)
@@ -662,24 +660,20 @@ def zeta_case2_3_cosets(
             "the unit integrals vanish where the lemma says they do"
         )
 
-    # phi route: only unipotent representatives can meet the f-support
-    z_phi = 0j
+    # phi route: only unipotent representatives can meet the f-support,
+    # and among those [[1,0],[xi,1]] with xi in p o_L/p^e, f vanishes unless
+    # xi = 0 mod p^e, so the identity is the one term left
     f_id = p ** float(-2 * e + 2) / (p**2 - 1)
-    for xi_a in range(0, pe, p):
-        for xi_b in range(0, pe, p):
-            if xi_a % pe or xi_b % pe:  # f vanishes unless xi = 0 mod p^e
-                continue
-            acc = 0j
-            for n in range(-e, -e + window + 1):
-                coef = (
-                    u**n
-                    * p ** (-n * (s - 1))
-                    * unit_psi_mu_integral(mu, n, Fraction(-d, 2))
-                )
-                if abs(coef) > tol:
-                    acc += coef * bessel_value(e + n, 0)
-            z_phi += f_id * acc
-    z_phi *= prefactor
+    acc = 0j
+    for n in range(-e, -e + window + 1):
+        coef = (
+            u**n
+            * p ** (-n * (s - 1))
+            * unit_psi_mu_integral(mu, n, Fraction(-d, 2))
+        )
+        if abs(coef) > tol:
+            acc += coef * bessel_value(e + n, 0)
+    z_phi = f_id * acc * prefactor
 
     # phi-hat route: only the Weyl-type representatives survive (c must be
     # a unit), each contributing through its Y_eta reduction

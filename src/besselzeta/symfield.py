@@ -18,18 +18,21 @@ ordering of values is ever used.  Any further identifier can be introduced
 as an extension variable (series variables, recursion scalars, opaque unit
 symbols).
 
-Rational functions are kept fully canonical: numerator and denominator are
-integer-primitive polynomials with no common factor, no common monomial,
-and the denominator has positive leading coefficient in the fixed monomial
-order.  Equality of canonical forms is therefore structural.  Multivariate
-polynomial gcd is delegated to sympy's sparse polynomial rings over ZZ;
-all other arithmetic is self-contained.
+Numerators and denominators are Laurent polynomials with integer
+coefficients; a rational constant is an integer numerator over an integer
+denominator.  Rational functions are kept fully canonical: numerator and
+denominator are integer-primitive polynomials with no common factor, no
+common monomial, and the denominator has positive leading coefficient in
+the fixed monomial order.  Equality of canonical forms is therefore
+structural.  Multivariate polynomial gcd is delegated to sympy's sparse
+polynomial rings over ZZ; all other arithmetic is self-contained.
 
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
@@ -90,27 +93,22 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(sorted(d.items()))
 
 
-def _mono_pow(m: Mono, k: int) -> Mono:
-    if k == 0 or not m:
-        return ()
-    return tuple((name, e * k) for name, e in m)
-
-
 class LaurentPoly:
-    """Finite sum of monomials with exact rational coefficients.
+    """Finite sum of monomials with integer coefficients.
 
     Exponents may be negative.  No zero coefficient is ever stored, so the
     representation is canonical and structural equality is mathematical
-    equality.
+    equality.  A coefficient that is not an integer (a Fraction, a float)
+    raises TypeError; rational constants are RatFuncs.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Mono, int] | None = None):
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                c = operator.index(coeff)
                 if c:
                     clean[mono] = c
         object.__setattr__(self, "terms", clean)
@@ -120,16 +118,15 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
-    def const(c) -> "LaurentPoly":
-        c = Fraction(c)
-        return LaurentPoly({(): c} if c else {})
+    def const(c: int) -> "LaurentPoly":
+        return LaurentPoly({(): c})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
         Var(name)  # validate
         if exp == 0:
             return LaurentPoly.const(1)
-        return LaurentPoly({((name, exp),): Fraction(1)})
+        return LaurentPoly({((name, exp),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -138,11 +135,9 @@ class LaurentPoly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
-    def const_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
+    def const_value(self) -> int:
         if self.is_const():
-            return self.terms[()]
+            return self.terms.get((), 0)
         raise ValueError("not a constant")
 
     def is_monomial(self) -> bool:
@@ -158,7 +153,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = dict(self.terms)
         for mono, c in other.terms.items():
-            s = d.get(mono, Fraction(0)) + c
+            s = d.get(mono, 0) + c
             if s:
                 d[mono] = s
             elif mono in d:
@@ -178,17 +173,12 @@ class LaurentPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = d.get(m, Fraction(0)) + c1 * c2
+                s = d.get(m, 0) + c1 * c2
                 if s:
                     d[m] = s
                 elif m in d:
                     del d[m]
         return LaurentPoly(d)
-
-    def scale(self, c: Fraction) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly()
-        return LaurentPoly({m: cc * c for m, cc in self.terms.items()})
 
     def mono_shift(self, shift: Mono) -> "LaurentPoly":
         if not shift:
@@ -197,10 +187,7 @@ class LaurentPoly:
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
-            if self.is_monomial():
-                ((m, c),) = self.terms.items()
-                return LaurentPoly({_mono_pow(m, k): c**k})
-            raise ValueError("negative power of a non-monomial LaurentPoly")
+            raise ValueError("negative power of a LaurentPoly; use RatFunc")
         out = LaurentPoly.const(1)
         base = self
         while k:
@@ -272,17 +259,9 @@ def _ring_for(names: tuple):
 
 
 def _to_sympy(poly: LaurentPoly, names: tuple, R):
-    elem = R.zero
-    gens = R.gens
-    for mono, coeff in poly.terms.items():
-        term = R.ground_new(int(coeff))
-        d = dict(mono)
-        for i, n in enumerate(names):
-            e = d.get(n, 0)
-            if e:
-                term = term * gens[i] ** e
-        elem = elem + term
-    return elem
+    return R.from_dict(
+        {_mono_key(mono, names): coeff for mono, coeff in poly.terms.items()}
+    )
 
 
 def _from_sympy(elem, names: tuple) -> LaurentPoly:
@@ -291,7 +270,7 @@ def _from_sympy(elem, names: tuple) -> LaurentPoly:
         mono = tuple(
             sorted((names[i], e) for i, e in enumerate(exps) if e)
         )
-        terms[mono] = Fraction(int(coeff))
+        terms[mono] = coeff
     return LaurentPoly(terms)
 
 
@@ -300,14 +279,11 @@ def _poly_gcd_reduce(num: LaurentPoly, den: LaurentPoly):
     names = tuple(sorted(set(num.variables()) | set(den.variables())))
     if not names:
         return num, den
-    ring_info = _ring_for(names)
-    R = ring_info[0]
-    a = _to_sympy(num, names, R)
-    b = _to_sympy(den, names, R)
-    g = a.gcd(b)
+    R = _ring_for(names)[0]
+    g, a, b = _to_sympy(num, names, R).cofactors(_to_sympy(den, names, R))
     if g == R.one:
         return num, den
-    return _from_sympy(a.quo(g), names), _from_sympy(b.quo(g), names)
+    return _from_sympy(a, names), _from_sympy(b, names)
 
 
 class RatFunc:
@@ -363,7 +339,7 @@ class RatFunc:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.const_value(), self.den.const_value())
 
     def variables(self) -> tuple:
         return tuple(sorted(set(self.num.variables()) | set(self.den.variables())))
@@ -473,23 +449,11 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
         mono = tuple(sorted(shift.items()))
         num = num.mono_shift(mono)
         den = den.mono_shift(mono)
-    # joint scaling to primitive integer coefficients
-    denoms = [c.denominator for c in num.terms.values()]
-    denoms += [c.denominator for c in den.terms.values()]
-    mult = 1
-    for d in denoms:
-        mult = mult * d // _int_gcd(mult, d)
-    if mult != 1:
-        num = num.scale(Fraction(mult))
-        den = den.scale(Fraction(mult))
-    content = 0
-    for c in num.terms.values():
-        content = _int_gcd(content, abs(c.numerator))
-    for c in den.terms.values():
-        content = _int_gcd(content, abs(c.numerator))
+    # joint content, so that the coefficients are primitive integers
+    content = _int_gcd(*num.terms.values(), *den.terms.values())
     if content > 1:
-        num = num.scale(Fraction(1, content))
-        den = den.scale(Fraction(1, content))
+        num = LaurentPoly({m: c // content for m, c in num.terms.items()})
+        den = LaurentPoly({m: c // content for m, c in den.terms.items()})
     # polynomial gcd; monomials carry none after the shift and content steps
     if not num.is_monomial() and not den.is_monomial():
         num, den = _poly_gcd_reduce(num, den)

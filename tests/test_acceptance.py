@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from besselzeta.suites import RUNTIME_LIMITS, SUITES, run_suite
+from besselzeta.suites import RUNTIME_LIMITS, SUITES, _equal_forms_case, run_suite
+from besselzeta.symfield import RF_ZERO, rf_var
 
 GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "verify_all.seed831.json"
 EXACT_SUITES = ("case1", "case4", "case56_periods", "y_eta", "classgroup")
@@ -54,3 +55,11 @@ def test_acceptance_criterion(name, label):
 
 def test_every_suite_is_an_acceptance_criterion():
     assert set(SUITES) == {name for name, _ in CRITERIA}
+
+
+def test_two_zero_forms_do_not_pass():
+    case = _equal_forms_case("c", "i", "closed == series", RF_ZERO, RF_ZERO, "PAPER")
+    assert case["pass"] is False and case["actual"] == "both identically 0"
+    t = rf_var("T")
+    assert _equal_forms_case("c", "i", "e", t, t, "PAPER")["pass"] is True
+    assert _equal_forms_case("c", "i", "e", t, RF_ZERO, "PAPER")["actual"] == "DIFFERENT"

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from besselzeta import localzeta as lz
 from besselzeta import suites
 from besselzeta.cli import main
+from besselzeta.symfield import RF_ONE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,9 +153,41 @@ def test_readme_example_golden(name, argv):
     ["lfactor", "--type", "I", "--satake", "1,2"],
     ["zeta-local", "--case", "4", "--type", "I", "--symbolic", "--index", "9"],
     ["zeta-local", "--case", "5", "--type", "IIIa", "--symbolic", "--index", "-1"],
+    ["zeta-local", "--case", "1", "--type", "I", "--lam", "2"],
+    ["zeta-local", "--case", "1", "--type", "I", "--symbolic", "--index", "9"],
 ])
 def test_rejected_input_exits_2(argv, capsys):
     code, out = _run(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error" in err
+
+
+def test_zeta_local_case1_compares_two_routes(monkeypatch):
+    argv = ["zeta-local", "--case", "1", "--type", "IIb", "--symbolic"]
+    code, out = _run(argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["match"] is True
+    assert doc["closed_form"] == doc["series_form"]
+    # a wrong series route is caught by the L-factor side
+    monkeypatch.setattr(lz, "zeta_case1", lambda rep, tw: RF_ONE)
+    code, out = _run(argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["match"] is False
+    assert doc["series_form"] == "1" != doc["closed_form"]
+
+
+@pytest.mark.parametrize("config", [
+    None,  # no file
+    '{"D": -23, "l1": 6, "l2": 4}',
+    '{"M": 7, "chi": [1], "l1": 6, "l2": 4}',
+    '[-23, 6, 4, 7]',
+])
+def test_average_bad_config_exits_2(config, tmp_path, capsys):
+    path = tmp_path / "avg.json"
+    if config is not None:
+        path.write_text(config)
+    code, out = _run(["average", "--config", str(path)])
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error" in err
