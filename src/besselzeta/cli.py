@@ -187,6 +187,11 @@ def cmd_gauss(args) -> int:
         rhs = (-1) ** e * pr.gauss_sum_F(mu) ** 2
         err = abs(lhs - rhs)
     elif args.check == "normsum":
+        if mu.conductor != e:
+            # outside the lemma's hypothesis the identity fails, which is
+            # not a failed verification
+            raise ValueError(f"conductor {mu.conductor} != e = {e}; the "
+                             "norm-sum lemma needs an exact-conductor character")
         gring = pr.GaloisRing(p, e)
         u = args.unit % ring.modulus
         lhs = pr.norm_char_sum(gring, mu, u)
@@ -241,6 +246,10 @@ def cmd_classgroup(args) -> int:
     return 0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def cmd_average(args) -> int:
     try:
         with open(args.config) as fh:
@@ -253,13 +262,25 @@ def cmd_average(args) -> int:
         m, d, l1, l2 = cfg["M"], cfg["D"], cfg["l1"], cfg["l2"]
     except KeyError as exc:
         raise ValueError(f"config has no key {exc}") from exc
+    for key in ("M", "D", "l1", "l2", "N", "N_pi"):
+        if key in cfg and not _is_int(cfg[key]):
+            raise ValueError(f"config key {key!r} must be an integer")
+    for key in ("chi", "S"):
+        if key in cfg and not (
+            isinstance(cfg[key], list) and all(map(_is_int, cfg[key]))
+        ):
+            raise ValueError(f"config key {key!r} must be a list of integers")
+    s_pair = cfg.get("s", [0.0, 0.0])
+    if not (isinstance(s_pair, list) and len(s_pair) == 2 and all(
+        _is_int(v) or isinstance(v, float) for v in s_pair
+    )):
+        raise ValueError("config key 's' must be a list of two numbers")
     chi = ga.DirichletChar(m, tuple(cfg.get("chi", [])))
     gp = ga.GlobalParams(
         D=d, l1=l1, l2=l2, N=cfg.get("N", 1),
         M=m, chi=chi, S=tuple(cfg.get("S", ())),
     )
-    s_re, s_im = cfg.get("s", [0.0, 0.0])
-    s = complex(s_re, s_im)
+    s = complex(*s_pair)
     n_pi = cfg.get("N_pi", gp.N)
     _emit(
         {

@@ -13,7 +13,6 @@ analytic continuation is attempted.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -138,10 +137,8 @@ class DirichletChar:
             if comp.conductor == comp.ring.e:
                 local = q**0.5 * gauss_sum_F(comp, 1.0)
             else:
-                local = sum(
-                    comp(a) * cmath.exp(2j * cmath.pi * a / q)
-                    for a in comp.ring.units()
-                )
+                psi = comp.ring._roots(q)
+                local = sum(comp(a) * psi[a] for a in comp.ring.units())
             total *= comp(cofactor % q) * local
         return total
 

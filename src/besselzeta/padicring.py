@@ -3,9 +3,12 @@ Gauss sums, and the brute-force side of the ramified-twist computations.
 
 Only odd p is supported: the unit group of Z/2^e is not cyclic and the
 global setup excludes p = 2 anyway.  Character values are exact roots of
-unity carried as integer exponents modulo the unit-group order; complex
-floating point appears only at summation boundaries, where everything is
-compared at tolerance 1e-9 or better.
+unity carried as integer exponents: a multiplicative character's exponent
+modulo the unit-group order, an additive character's p-adic residue
+modulo p^k.  Each ring keeps, per modulus n it meets, a table of
+exp(2 pi i j / n) built on first use, and the sums index those tables by
+exponent; floats enter only as those table entries and as the running
+sums, which are compared at tolerance 1e-9 or better.
 
 The Galois ring GR(p^e, 2) is realized as Z/p^e[x]/(x^2 - c) with c a
 quadratic non-residue mod p; the nontrivial automorphism is x -> -x, so
@@ -93,6 +96,7 @@ class ResidueRing:
         for k in range(self.unit_order):
             self._dlog[x] = k
             x = x * self.generator % self.modulus
+        self._root_tables = {}
 
     def _find_generator(self) -> int:
         # a generator of (Z/p)^* lifts to (Z/p^e)^* unless g^(p-1) = 1 mod p^2
@@ -118,6 +122,14 @@ class ResidueRing:
             raise ValueError(f"{a} is not a unit modulo {self.modulus}")
         return self._dlog[a]
 
+    def _roots(self, n: int) -> list:
+        """[exp(2 pi i j / n) for j in range(n)], built on first use."""
+        table = self._root_tables.get(n)
+        if table is None:
+            table = [cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
+            self._root_tables[n] = table
+        return table
+
     def __repr__(self):
         return f"ResidueRing(p={self.p}, e={self.e})"
 
@@ -130,6 +142,11 @@ class MultChar:
         self.ring = ring
         self.k = k % ring.unit_order
         self.conductor = self._conductor()
+        # the value at each residue mod p^e, None at non-units
+        roots = ring._roots(ring.unit_order)
+        self._values = [None] * ring.modulus
+        for a, log in ring._dlog.items():
+            self._values[a] = roots[self.k * log % ring.unit_order]
 
     def _conductor(self) -> int:
         ring = self.ring
@@ -149,7 +166,7 @@ class MultChar:
         return self.k * self.ring.dlog(a) % self.ring.unit_order
 
     def __call__(self, a: int) -> complex:
-        return cmath.exp(2j * cmath.pi * self.value_exponent(a) / self.ring.unit_order)
+        return self.ring._roots(self.ring.unit_order)[self.value_exponent(a)]
 
     def inverse(self) -> "MultChar":
         return MultChar(self.ring, -self.k)
@@ -169,6 +186,17 @@ class MultChar:
         return f"MultChar(p={self.ring.p}, e={self.ring.e}, k={self.k})"
 
 
+def _p_adic_frac(x: Fraction, p: int) -> tuple:
+    """(p^k, r) with {x}_p = r / p^k: p^k is the p-part of the denominator
+    of x, and r its residue mod p^k (so (1, 0) for p-integral x)."""
+    den = x.denominator
+    pk = 1
+    while den % p == 0:
+        den //= p
+        pk *= p
+    return pk, x.numerator * pow(den, -1, pk) % pk
+
+
 def psi_frac(x: Fraction, p: int) -> complex:
     """Additive character of conductor 0 on Q_p: exp(2 pi i {x}_p).
 
@@ -176,16 +204,9 @@ def psi_frac(x: Fraction, p: int) -> complex:
     denominator contributes; prime-to-p denominators are p-adic units and
     give integral x, i.e. psi(x) = 1.
     """
-    x = Fraction(x)
-    den = x.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    if k == 0:
+    pk, residue = _p_adic_frac(Fraction(x), p)
+    if pk == 1:
         return 1.0 + 0j
-    pk = p**k
-    residue = x.numerator * pow(den, -1, pk) % pk
     return cmath.exp(2j * cmath.pi * residue / pk)
 
 
@@ -267,9 +288,10 @@ def gauss_sum_F(mu: MultChar, pi_choice: complex = 1.0) -> complex:
             "conductor character"
         )
     pe = ring.modulus
+    psi, values = ring._roots(pe), mu._values
     total = 0j
     for a in ring.units():
-        total += cmath.exp(2j * cmath.pi * a / pe) * mu(a)
+        total += psi[a] * values[a]
     return pe ** -0.5 * pi_choice ** (-ring.e) * total
 
 
@@ -279,22 +301,24 @@ def unit_psi_mu_integral(mu: MultChar, n: int, scale: Fraction = Fraction(1)) ->
 
     ``scale`` is any nonzero rational; the integral is computed as an exact
     average over units modulo p^K at a sufficiently deep level K.
+
+    With {x}_p = r0 / p^k for x = p^n * scale, the term at a unit a is
+    psi(x a) = exp(2 pi i (r0 a mod p^k) / p^k): a is prime to p, so it
+    leaves the p-part of the denominator unchanged.
     """
     ring = mu.ring
-    p = ring.p
+    p, pe = ring.p, ring.modulus
     scale = Fraction(scale)
     v = n + ord_p(scale, p)
     K = max(ring.e, -v, 1)
     pK = p**K
-    x = Fraction(p) ** n * scale
+    pk, r0 = _p_adic_frac(Fraction(p) ** n * scale, p)
+    psi, values = ring._roots(pk), mu._values
     total = 0j
-    count = 0
     for a in range(1, pK):
-        if a % p == 0:
-            continue
-        count += 1
-        total += psi_frac(x * a, p) * mu(a % ring.modulus)
-    return total / count
+        if a % p:
+            total += psi[r0 * a % pk] * values[a % pe]
+    return total / (pK - pK // p)
 
 
 def gauss_sum_lemma_value(mu: MultChar, n: int, pi_choice: complex = 1.0) -> complex:
@@ -342,13 +366,17 @@ def gauss_sum_L(mu: MultChar, gring: GaloisRing, pi_choice: complex = 1.0) -> co
         raise ValueError("W_L needs an exact-conductor character")
     if mu_L_conductor(mu, gring) != ring.e:
         raise ValueError("mu o N does not have the full conductor")
-    pe = ring.modulus
-    qL = ring.p**2
+    p, pe, c = ring.p, ring.modulus, gring.c
+    qL = p**2
+    psi, values = ring._roots(pe), mu._values
+    # z = x + y sqrt(c) over the units, in the order of gring.units():
+    # tr z = 2x and N z = x^2 - c y^2, a unit since z is one
+    every_y, unit_y = range(pe), [y for y in range(pe) if y % p]
     total = 0j
-    for z in gring.units():
-        tr = gring.trace(z)
-        nz = gring.norm(z)
-        total += cmath.exp(2j * cmath.pi * tr / pe) * mu(nz)
+    for x in range(pe):
+        psi_x, xx = psi[2 * x % pe], x * x
+        for y in every_y if x % p else unit_y:
+            total += psi_x * values[(xx - c * y * y) % pe]
     mu_L_pi = pi_choice**2  # mu_L(pi) = mu(N pi) = mu(pi)^2
     return qL ** (-ring.e / 2) * mu_L_pi ** (-ring.e) * total
 
@@ -359,13 +387,19 @@ def norm_char_sum(gring: GaloisRing, mu: MultChar, u: int) -> complex:
     Equals (-1)^e q^e mu(u) by the norm-sum lemma (asserted in tests).
     """
     ring = mu.ring
+    if (gring.p, gring.e) != (ring.p, ring.e):
+        raise ValueError("Galois ring and character live over different rings")
     if not ring.is_unit(u):
         raise ValueError("u must be a unit")
+    pe, c, values = ring.modulus, gring.c, mu._values
+    # eta = x + y sqrt(c) in the order of gring.elements()
     total = 0j
-    for z in gring.elements():
-        arg = (u + gring.norm(z)) % ring.modulus
-        if ring.is_unit(arg):
-            total += mu(arg)
+    for x in range(pe):
+        ux = u + x * x
+        for y in range(pe):
+            value = values[(ux - c * y * y) % pe]
+            if value is not None:
+                total += value
     return total
 
 

@@ -155,6 +155,8 @@ def test_readme_example_golden(name, argv):
     ["zeta-local", "--case", "5", "--type", "IIIa", "--symbolic", "--index", "-1"],
     ["zeta-local", "--case", "1", "--type", "I", "--lam", "2"],
     ["zeta-local", "--case", "1", "--type", "I", "--symbolic", "--index", "9"],
+    # the trivial character mod 3 is outside the norm-sum lemma
+    ["gauss", "--p", "3", "--char-index", "0", "--check", "normsum"],
 ])
 def test_rejected_input_exits_2(argv, capsys):
     code, out = _run(argv)
@@ -182,6 +184,17 @@ def test_zeta_local_case1_compares_two_routes(monkeypatch):
     '{"D": -23, "l1": 6, "l2": 4}',
     '{"M": 7, "chi": [1], "l1": 6, "l2": 4}',
     '[-23, 6, 4, 7]',
+    # values of the wrong type
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7, "chi": [1], "s": 5}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7, "chi": 1}',
+    '{"D": "x", "l1": 6, "l2": 4, "M": 7}',
+    '{"D": -23, "l1": "a", "l2": 4, "M": 7}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7.0}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7, "N": true}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7, "N_pi": "5"}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7, "S": [3, "11"]}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7, "s": [1.0, "x"]}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7, "s": [1.0, 0.0, 2.0]}',
 ])
 def test_average_bad_config_exits_2(config, tmp_path, capsys):
     path = tmp_path / "avg.json"

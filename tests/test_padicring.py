@@ -159,6 +159,8 @@ def test_norm_char_sum_pins():
         # exhaustive tally over the 81 eta values
         got = norm_char_sum(g, mu, 2)
         assert abs(got - 9 * mu(2)) < TOL
+    with pytest.raises(ValueError):
+        norm_char_sum(GaloisRing(3, 1), mu, 2)  # mu lives on Z/9
 
 
 def test_galois_ring_frobenius_and_norm():
@@ -318,3 +320,81 @@ def test_factorization_helpers_against_brute_force():
         assert is_squarefree(n) == all(n % (d * d) for d in range(2, n + 1))
         assert is_odd_prime(n) == (n > 2 and n % 2 == 1
                                    and all(n % d for d in range(2, n)))
+
+
+# per-term references for the table-driven kernels: one cmath.exp per
+# character value, psi_frac per additive term, and the GaloisRing methods
+# over its element generators; the kernels must agree bit for bit
+
+
+def _value(mu, a):
+    return cmath.exp(2j * cmath.pi * mu.value_exponent(a) / mu.ring.unit_order)
+
+
+def _ref_gauss_sum_F(mu):
+    ring = mu.ring
+    pe = ring.modulus
+    total = 0j
+    for a in ring.units():
+        total += cmath.exp(2j * cmath.pi * a / pe) * _value(mu, a)
+    return pe ** -0.5 * 1.0 ** (-ring.e) * total
+
+
+def _ref_gauss_sum_L(mu, gring):
+    ring = mu.ring
+    pe = ring.modulus
+    total = 0j
+    for z in gring.units():
+        total += cmath.exp(2j * cmath.pi * gring.trace(z) / pe) * _value(mu, gring.norm(z))
+    return (ring.p**2) ** (-ring.e / 2) * (1.0**2) ** (-ring.e) * total
+
+
+def _ref_norm_char_sum(gring, mu, u):
+    ring = mu.ring
+    total = 0j
+    for z in gring.elements():
+        arg = (u + gring.norm(z)) % ring.modulus
+        if ring.is_unit(arg):
+            total += _value(mu, arg)
+    return total
+
+
+def _ref_unit_integral(mu, n, scale):
+    ring = mu.ring
+    p = ring.p
+    K = max(ring.e, -(n + ord_p(scale, p)), 1)
+    x = Fraction(p) ** n * scale
+    total = 0j
+    count = 0
+    for a in range(1, p**K):
+        if a % p:
+            count += 1
+            total += psi_frac(x * a, p) * _value(mu, a % ring.modulus)
+    return total / count
+
+
+EXACT_RINGS = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
+
+
+@pytest.mark.parametrize("p,e", EXACT_RINGS)
+def test_table_kernels_equal_per_term_sums(p, e):
+    ring, gring = ResidueRing(p, e), GaloisRing(p, e)
+    d = -3  # discriminant of S = [[1, 1/2], [1/2, 1]]
+    scales = (Fraction(1), Fraction(-d, 2), Fraction(1, 2 * p))
+    chars = MultChar.primitive_chars(ring)
+    for mu in chars:
+        assert gauss_sum_F(mu) == _ref_gauss_sum_F(mu)
+        assert gauss_sum_L(mu, gring) == _ref_gauss_sum_L(mu, gring)
+        for u in (1, 2, ring.modulus - 1):
+            assert norm_char_sum(gring, mu, u) == _ref_norm_char_sum(gring, mu, u)
+        assert mu(2) == _value(mu, 2)
+        with pytest.raises(ValueError):
+            mu(p)
+        with pytest.raises(ValueError):
+            mu(0)
+    # the unit integral sums over units mod up to p^(e+3): two characters
+    for mu in chars[:2]:
+        for scale in scales:
+            for n in range(-e - 3, -e + 4):
+                got = unit_psi_mu_integral(mu, n, scale)
+                assert got == _ref_unit_integral(mu, n, scale), (mu, n, scale)
