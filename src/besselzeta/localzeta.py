@@ -25,6 +25,7 @@ coordinate vector of B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .localrep import (
     LocalRep,
@@ -143,6 +144,14 @@ def _require_trivial_cc(rep: LocalRep, what: str):
         raise ValueError(f"{what} requires trivial central character")
 
 
+# Memoized alone among the symbolic functions.  A memo hands every caller
+# the first caller's objects, and equal RatFuncs may store their terms in
+# different orders, which moves evaluate() floats in their last digits.  The
+# series row is never evaluated numerically, only combined exactly and
+# printed in sorted text, so sharing it is safe; hecke_matrices and
+# _case4_over_l are evaluated (t_factor, diag_values_numeric, local_period)
+# and stay unmemoized.
+@lru_cache(maxsize=16)
 def _series_linear_forms(rep: LocalRep, x: RatFunc):
     """Row vector b^T (I - q^{-3} x T_{1,0})^{-1} over the fixed basis,
     solved as (I - q^{-3} x T_{1,0})^T y = b."""

@@ -74,9 +74,10 @@ def suite_case1() -> dict:
     seed = _seed()
     cases = []
     tw = TwistData(u=rf_var("U"))
+    values = {}
     for tag in ("I", "IIb"):
         rep = LocalRep.symbolic_trivial(tag)
-        lhs = lz.zeta_case1(rep, tw)
+        lhs = values[tag] = lz.zeta_case1(rep, tw)
         rhs = shift_half(spinor_lfactor(rep, tw))
         cases.append(
             _case(
@@ -89,8 +90,7 @@ def suite_case1() -> dict:
             )
         )
     # constant term sanity: T = 0 specialization gives 1
-    rep = LocalRep.symbolic_trivial("I")
-    val = lz.zeta_case1(rep, tw).subst({"T": RatFunc.const(0)})
+    val = values["I"].subst({"T": RatFunc.const(0)})
     cases.append(
         _case("case1-T0", "type I at T=0", "1", val.to_text(), val == RF_ONE, "TRIVIAL")
     )
@@ -120,13 +120,14 @@ def suite_case4() -> dict:
                 )
             )
             norm = closed / spin
+            invariant = norm.subst(inv_sub) == norm
             cases.append(
                 _case(
                     f"case4-{tag}-B{idx + 1}-inv",
                     "L-normalized value under (T,U) -> (1/T, 1/U)",
                     "invariant",
-                    "invariant" if norm.subst(inv_sub) == norm else "NOT invariant",
-                    norm.subst(inv_sub) == norm,
+                    "invariant" if invariant else "NOT invariant",
+                    invariant,
                     "PAPER",
                 )
             )

@@ -25,7 +25,12 @@ denominator are integer-primitive polynomials with no common factor, no
 common monomial, and the denominator has positive leading coefficient in
 the fixed monomial order.  Equality of canonical forms is therefore
 structural.  Multivariate polynomial gcd is delegated to sympy's sparse
-polynomial rings over ZZ; all other arithmetic is self-contained.
+polynomial rings over ZZ; all other arithmetic is self-contained.  Since
+every operand is canonical, the arithmetic asks for no gcd where it is 1 by
+construction: x + 0, x * 1 and x * 0 return at once, and negation, inverse,
+integer powers, and a sum, difference, product or quotient with a monomial
+over a monomial (a unit of the Laurent ring, constants included) skip the
+gcd step (see _canonicalize).
 
 All values are immutable after construction and safe to share.
 """
@@ -199,10 +204,14 @@ class LaurentPoly:
 
     def min_exponents(self) -> dict:
         """Per-variable minimum exponent over all terms (0 where absent)."""
-        return {
-            name: min(dict(mono).get(name, 0) for mono in self.terms)
-            for name in self.variables()
-        }
+        mins, seen = {}, {}
+        for mono in self.terms:
+            for name, e in mono:
+                if name not in mins or e < mins[name]:
+                    mins[name] = e
+                seen[name] = seen.get(name, 0) + 1
+        n = len(self.terms)
+        return {name: e if seen[name] == n else min(e, 0) for name, e in mins.items()}
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -293,14 +302,17 @@ class RatFunc:
     polynomial gcd of numerator and denominator is 1, and the denominator's
     leading coefficient (lex order over sorted variable names) is positive.
     Two RatFuncs are equal iff they are the same function.
+
+    ``_coprime=True`` is the arithmetic's private promise that num and den
+    have no common polynomial factor, so the gcd is skipped.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE, *, _coprime=False):
         if den.is_zero:
             raise ZeroDivisionError("RatFunc with zero denominator")
-        num, den = _canonicalize(num, den)
+        num, den = _canonicalize(num, den, _coprime)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
@@ -344,15 +356,24 @@ class RatFunc:
     def variables(self) -> tuple:
         return tuple(sorted(set(self.num.variables()) | set(self.den.variables())))
 
+    def _is_unit(self) -> bool:
+        """A monomial over a monomial: a unit of the Laurent ring."""
+        return self.num.is_monomial() and self.den.is_monomial()
+
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "RatFunc":
         other = RatFunc.coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den,
+                       _coprime=self._is_unit() or other._is_unit())
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc(-self.num, self.den, _coprime=True)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-RatFunc.coerce(other))
@@ -362,7 +383,14 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = RatFunc.coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if self.is_zero or other.is_zero:
+            return RF_ZERO
+        if other == RF_ONE:
+            return self
+        if self == RF_ONE:
+            return other
+        return RatFunc(self.num * other.num, self.den * other.den,
+                       _coprime=self._is_unit() or other._is_unit())
 
     __rmul__ = __mul__
 
@@ -370,7 +398,8 @@ class RatFunc:
         other = RatFunc.coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division of RatFunc by zero")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return RatFunc(self.num * other.den, self.den * other.num,
+                       _coprime=self._is_unit() or other._is_unit())
 
     def __rtruediv__(self, other) -> "RatFunc":
         return RatFunc.coerce(other) / self
@@ -378,12 +407,12 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero RatFunc")
-        return RatFunc(self.den, self.num)
+        return RatFunc(self.den, self.num, _coprime=True)
 
     def __pow__(self, k: int) -> "RatFunc":
         if k < 0:
             return self.inv() ** (-k)
-        return RatFunc(self.num**k, self.den**k)
+        return RatFunc(self.num**k, self.den**k, _coprime=True)
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -433,7 +462,20 @@ class RatFunc:
         return f"RatFunc({self.to_text()!r})"
 
 
-def _canonicalize(num: LaurentPoly, den: LaurentPoly):
+def _canonicalize(num: LaurentPoly, den: LaurentPoly, coprime: bool = False):
+    """Canonical form of num/den; ``coprime`` skips the polynomial gcd.
+
+    The caller may pass coprime=True only where the gcd is 1 by
+    construction.  With canonical operands f = a/b and g = c/d that holds
+    for -f, 1/f and f**k (gcd(a, b) = 1 gives gcd(a^k, b^k) = 1), and for
+    f + g, f - g, f * g and f / g whenever one operand, say g, is a
+    monomial over a monomial: c and d are then units of the Laurent ring,
+    so gcd(a*d + c*b, b*d) = gcd(a*d, b) = gcd(a, b) = 1, and likewise
+    gcd(a*c, b*d) = gcd(a*d, b*c) = 1.  After the monomial shift and the
+    content step the integer polynomial gcd is then exactly 1, and a gcd of
+    1 leaves num and den untouched, so skipping it changes no term and no
+    term order.
+    """
     if num.is_zero:
         return _ZERO, _ONE
     # joint monomial shift so that each variable's minimum exponent over
@@ -455,7 +497,7 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
         num = LaurentPoly({m: c // content for m, c in num.terms.items()})
         den = LaurentPoly({m: c // content for m, c in den.terms.items()})
     # polynomial gcd; monomials carry none after the shift and content steps
-    if not num.is_monomial() and not den.is_monomial():
+    if not (coprime or num.is_monomial() or den.is_monomial()):
         num, den = _poly_gcd_reduce(num, den)
     # positive leading coefficient of the denominator
     names = den.variables()

@@ -35,9 +35,9 @@ CRITERIA = [
 
 @pytest.mark.parametrize("name,label", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_acceptance_criterion(name, label):
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_suite(name)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     status = "PASS" if report["ok"] else "FAIL"
     print(f"\n[{status}] {label}  "
           f"({report['summary']['passed']}/{report['summary']['total']} cases, "

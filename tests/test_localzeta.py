@@ -1,8 +1,14 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from besselzeta import localzeta as lz
+from besselzeta import suites
 from besselzeta.localrep import (
     LocalRep,
     TwistData,
@@ -288,3 +294,48 @@ def test_recursion_numeric_oracle():
         {"A": alpha, "G": gamma, "K": kappa, "Q": math.sqrt(q)}
     )
     assert abs(sym - b2) < 1e-12
+
+
+def test_series_memo_solves_each_system_once(monkeypatch):
+    # suite_case4 needs one series system per representation type, shared
+    # by all basis vectors of that type
+    lz._series_linear_forms.cache_clear()
+    solve = RatMatrix.solve
+    calls = []
+
+    def counted(self, rhs):
+        calls.append(self.rows)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(RatMatrix, "solve", counted)
+    suites.suite_case4()
+    assert calls == [4, 3]
+
+
+_ORDER_PROBE = """
+import cmath, json, math, sys
+from besselzeta import suites
+from besselzeta.localrep import LocalRep, TwistData
+from besselzeta.localzeta import local_period
+if sys.argv[1] == "warm":
+    suites.suite_case1(); suites.suite_case4(); suites.suite_case56_periods()
+period = local_period(LocalRep.symbolic_trivial("I"), TwistData(u=1))
+point = {"Q": math.sqrt(3), "T": 1.0, "A": cmath.exp(0.3j),
+         "G": cmath.exp(-0.7j)}
+print(json.dumps([suites.suite_tfactor(), suites.suite_case23(),
+                  repr(period.evaluate(point))]))
+"""
+
+
+def test_float_results_do_not_depend_on_call_order():
+    # a memo hands later callers the first caller's objects, whose term
+    # order fixes the last digits of evaluate(); the floats must be the
+    # same in a fresh process and after the symbolic suites have run
+    src = str(Path(lz.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run([sys.executable, "-c", _ORDER_PROBE, mode], env=env,
+                       capture_output=True, text=True, check=True).stdout
+        for mode in ("cold", "warm")
+    ]
+    assert runs[0] == runs[1]

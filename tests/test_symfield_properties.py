@@ -14,6 +14,11 @@ from besselzeta.symfield import (
     RF_ZERO,
     LaurentPoly,
     RatFunc,
+    _ONE,
+    _ZERO,
+    _int_gcd,
+    _mono_key,
+    _poly_gcd_reduce,
     parse_ratfunc,
     rf_var,
 )
@@ -62,3 +67,123 @@ def test_const_value_roundtrip(a, b):
 def test_laurent_rejects_non_integer_coefficients(c):
     with pytest.raises(TypeError):
         LaurentPoly({(("T", 1),): c})
+
+
+# -- the gcd-free fast paths against the full canonicalization -------------
+
+def _old_min_exponents(poly):
+    return {
+        name: min(dict(mono).get(name, 0) for mono in poly.terms)
+        for name in poly.variables()
+    }
+
+
+def _full(num, den):
+    """Canonical form with the polynomial gcd always taken."""
+    if num.is_zero:
+        return _ZERO, _ONE
+    mins_n, mins_d = _old_min_exponents(num), _old_min_exponents(den)
+    shift = {}
+    for name in set(mins_n) | set(mins_d):
+        m = min(mins_n.get(name, 0), mins_d.get(name, 0))
+        if m:
+            shift[name] = -m
+    if shift:
+        mono = tuple(sorted(shift.items()))
+        num, den = num.mono_shift(mono), den.mono_shift(mono)
+    content = _int_gcd(*num.terms.values(), *den.terms.values())
+    if content > 1:
+        num = LaurentPoly({m: c // content for m, c in num.terms.items()})
+        den = LaurentPoly({m: c // content for m, c in den.terms.items()})
+    num, den = _poly_gcd_reduce(num, den)
+    names = den.variables()
+    lead = max(den.terms, key=lambda m: _mono_key(m, names))
+    if den.terms[lead] < 0:
+        num, den = -num, -den
+    return num, den
+
+
+# (num, den) pairs through the arithmetic as it reads with no fast path
+def _add(f, g):
+    return _full(f[0] * g[1] + g[0] * f[1], f[1] * g[1])
+
+
+def _neg(f):
+    return _full(-f[0], f[1])
+
+
+def _mul(f, g):
+    return _full(f[0] * g[0], f[1] * g[1])
+
+
+def _div(f, g):
+    return _full(f[0] * g[1], f[1] * g[0])
+
+
+def _inv(f):
+    return _full(f[1], f[0])
+
+
+def _pow(f, k):
+    if k < 0:
+        return _pow(_inv(f), -k)
+    return _full(f[0] ** k, f[1] ** k)
+
+
+def _same_terms(r, pair):
+    """Equal values with the terms stored in the same order."""
+    assert (list(r.num.terms.items()), list(r.den.terms.items())) == (
+        list(pair[0].terms.items()), list(pair[1].terms.items()))
+
+
+units = st.one_of(st.just(RF_ZERO), st.just(RF_ONE), monomials)
+
+
+@PROPS
+@given(ratfuncs, units)
+def test_fast_paths_match_full_canonicalization(f, m):
+    fp, mp = (f.num, f.den), (m.num, m.den)
+    _same_terms(f + m, _add(fp, mp))
+    _same_terms(m + f, _add(mp, fp))
+    _same_terms(f - m, _add(fp, _neg(mp)))
+    _same_terms(m - f, _add(mp, _neg(fp)))
+    _same_terms(f * m, _mul(fp, mp))
+    _same_terms(m * f, _mul(mp, fp))
+    _same_terms(-f, _neg(fp))
+    if not m.is_zero:
+        _same_terms(f / m, _div(fp, mp))
+    if not f.is_zero:
+        _same_terms(m / f, _div(mp, fp))
+        _same_terms(f.inv(), _inv(fp))
+
+
+@PROPS
+@given(ratfuncs, st.integers(-3, 3))
+def test_powers_match_full_canonicalization(f, k):
+    if f.is_zero and k < 0:
+        return
+    _same_terms(f**k, _pow((f.num, f.den), k))
+
+
+@PROPS
+@given(ratfuncs, ratfuncs)
+def test_general_arithmetic_matches_full_canonicalization(f, g):
+    fp, gp = (f.num, f.den), (g.num, g.den)
+    _same_terms(f + g, _add(fp, gp))
+    _same_terms(f * g, _mul(fp, gp))
+    if not g.is_zero:
+        _same_terms(f / g, _div(fp, gp))
+
+
+laurent_polys = st.dictionaries(
+    st.dictionaries(st.sampled_from(BUILTIN_VARS), st.integers(-3, 3).filter(bool),
+                    max_size=3).map(lambda d: tuple(sorted(d.items()))),
+    st.integers(-9, 9),
+    max_size=4,
+).map(LaurentPoly)
+
+
+@PROPS
+@given(laurent_polys)
+def test_min_exponents_one_pass(poly):
+    assert poly.min_exponents() == _old_min_exponents(poly)
