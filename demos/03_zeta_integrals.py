@@ -3,8 +3,10 @@
 # The unramified integral closes a geometric series of diagonal Bessel
 # values and reproduces the spinor L-factor at s + 1/2.  The old-form and
 # newform integrals (Atkin-Lehner translated) have closed forms that the
-# series route re-derives term by term; the local periods then assemble
-# from the basis values, the inner-product norms, and the closed forms.
+# series route re-derives term by term; the case 4-6 functions return one
+# value per basis vector of the K_0(p)-fixed space.  The local periods then
+# assemble from the basis values, the inner-product norms, and the closed
+# forms.
 # Run:  python demos/03_zeta_integrals.py
 
 from besselzeta import (
@@ -45,17 +47,15 @@ print("series in X starts at", diag_series(rep, rf_var("X")).subst(
     {"X": rf_var("X") * 0}).to_text())
 
 # case 4: closed form = series route, for every basis vector
-ok = all(
-    zeta_case4(rep, tw, i) == zeta_case4_series(rep, tw, i) for i in range(4)
-)
-print("case 4, type I, closed == series on all four basis vectors:", ok)
+print("case 4, type I, closed == series on all four basis vectors:",
+      zeta_case4(rep, tw) == zeta_case4_series(rep, tw))
 
 # cases 5/6 for the newform types; the display keeps Lambda(pi) symbolic
 rep3 = LocalRep.symbolic_trivial("IIIa")
 lam = TwistData(u=rf_var("U"), lam=rf_var("L"))
-print("case 5 closed form:", zeta_case5_6(rep3, lam, 0).to_text())
+print("case 5 closed form:", zeta_case5_6(rep3, lam)[0].to_text())
 print("case 5 series check at Lambda = 1:",
-      zeta_case5_6(rep3, tw, 0) == zeta_case5_6_series(rep3, tw, 0))
+      zeta_case5_6(rep3, tw)[0] == zeta_case5_6_series(rep3, tw)[0])
 
 # local periods: component sums against the displayed closed forms
 for tag in ("I", "IIb", "IIIa", "VIb"):

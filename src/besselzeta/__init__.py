@@ -28,7 +28,6 @@ from .classgroup import (
     ClassGroup,
     QuadForm,
     bessel_coeff_sum,
-    enumerate_classes,
     reduce_form,
     t_theta,
 )
@@ -86,7 +85,6 @@ from .symfield import (
     geom_resolvent,
     parse_ratfunc,
     rf_arith,
-    rf_subst,
     rf_var,
 )
 

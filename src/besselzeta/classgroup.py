@@ -348,11 +348,6 @@ class ClassGroup:
         return f"ClassGroup(D={self.D}, h={self.h}, {self.structure_label()})"
 
 
-def enumerate_classes(d: int) -> ClassGroup:
-    """The class group of the fundamental discriminant d < 0."""
-    return ClassGroup(d)
-
-
 def t_theta_principal(d: int) -> QuadForm:
     """The form of the canonical integral generator theta of o_E.
 

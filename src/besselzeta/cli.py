@@ -124,13 +124,19 @@ def cmd_zeta_local(args) -> int:
         closed = shift_half(spinor_lfactor(rep, tw))
         series = lz.zeta_case1(rep, tw)
     elif case == "4":
-        closed = lz.zeta_case4(rep, tw, args.index)
-        series = lz.zeta_case4_series(rep, tw, args.index)
+        closed, series = lz.zeta_case4(rep, tw), lz.zeta_case4_series(rep, tw)
     elif case in ("5", "6"):
-        closed = lz.zeta_case5_6(rep, tw, args.index)
-        series = lz.zeta_case5_6_series(rep, tw, args.index)
+        closed, series = lz.zeta_case5_6(rep, tw), lz.zeta_case5_6_series(rep, tw)
     else:
         raise SystemExit(f"unsupported case {case}")
+    if case != "1":
+        # one value per basis vector; a tuple would take a negative index
+        n = len(closed)
+        if not 0 <= args.index < n:
+            raise ValueError(
+                f"basis index {args.index} out of range for type {rep.tag} (0..{n - 1})"
+            )
+        closed, series = closed[args.index], series[args.index]
     match = closed == series
     _emit(
         {

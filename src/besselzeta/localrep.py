@@ -195,9 +195,9 @@ def spinor_lfactor(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
     return out
 
 
-def shift_half(f: RatFunc, steps: int = 1) -> RatFunc:
-    """Substitute s -> s + steps/2, i.e. T -> T * Q^{-steps}."""
-    return f.subst({"T": rf_var("T") * rf_var("Q", -steps)})
+def shift_half(f: RatFunc) -> RatFunc:
+    """Substitute s -> s + 1/2, i.e. T -> T * Q^{-1}."""
+    return f.subst({"T": rf_var("T") * rf_var("Q", -1)})
 
 
 def std_lfactor(rep: LocalRep) -> RatFunc:

@@ -10,7 +10,8 @@ Variable conventions (see symfield): Q = q^{1/2}, T = q^{-s}, A/B/G the
 Satake parameters, U = mu(pi), L = Lambda(pi).  The geometric-series
 routes below sum Bessel values against X_0 = mu(pi) q^{1-s}; closing the
 series through (I - X M)^{-1} is what makes everything a rational
-function.
+function.  The case 4-6 functions return one value per basis vector of
+the K_0(p)-fixed space, in basis order.
 
 Matrices act in the column convention: (T f_j) = sum_i M[i][j] f_i on the
 ordered basis f_1, f_2, ... of the K_0(p)-fixed space.  The diagonal
@@ -31,7 +32,6 @@ from .localrep import (
     LocalRep,
     TwistData,
     UNRAMIFIED,
-    dims,
     shift_half,
     spinor_lfactor,
     std_lfactor,
@@ -148,9 +148,9 @@ def _require_trivial_cc(rep: LocalRep, what: str):
 # the first caller's objects, and equal RatFuncs may store their terms in
 # different orders, which moves evaluate() floats in their last digits.  The
 # series row is never evaluated numerically, only combined exactly and
-# printed in sorted text, so sharing it is safe; hecke_matrices and
-# _case4_over_l are evaluated (t_factor, diag_values_numeric, local_period)
-# and stay unmemoized.
+# printed in sorted text, so sharing it is safe; hecke_matrices and _over_l
+# are evaluated (t_factor, diag_values_numeric, local_period) and stay
+# unmemoized.
 @lru_cache(maxsize=16)
 def _series_linear_forms(rep: LocalRep, x: RatFunc):
     """Row vector b^T (I - q^{-3} x T_{1,0})^{-1} over the fixed basis,
@@ -231,99 +231,94 @@ def _column(m: RatMatrix, j: int) -> list:
     return [m[i, j] for i in range(m.rows)]
 
 
-def _check_index(rep: LocalRep, index: int):
-    n = dims(rep)[1]
-    if not 0 <= index < n:
-        raise ValueError(
-            f"basis index {index} out of range for type {rep.tag} (0..{n - 1})"
-        )
+# the types of the non-spherical cases, and the subject of their error messages
+_CASES = {
+    "4": (("I", "IIb"), "case 4 needs"),
+    "5/6": (("IIIa", "VIb"), "cases 5/6 need"),
+}
 
 
-def zeta_case4_series(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
-    """Case 4 by the geometric-series route through the operator matrices.
+def _check_case_args(rep: LocalRep, twist: TwistData, case: str):
+    tags, subject = _CASES[case]
+    if rep.tag not in tags:
+        raise ValueError(f"{subject} type {tags[0]} or {tags[1]}")
+    if case == "4":
+        _require_trivial_cc(rep, "case 4")
+    if not twist.unramified:
+        raise ValueError(f"{subject} an unramified twist")
+    if case == "4" and twist.lam != RF_ONE:
+        raise ValueError("case 4 is stated for Lambda = 1")
 
-    Z(phi, B_i, s, mu; eta) = L(s+1, mu_L)/(q^2+1) *
-        { sum_l (eta B_i)(h(l,0)) X_0^l + q^{s+1} u^{-1} sum_l B_i(h(l,0)) X_0^l }.
-    """
-    _check_case4_args(rep, twist, index)
-    x0 = twist.u * _T * _Q**2
-    row, pair = _series_linear_forms(rep, x0)
+
+def _over_l(rep: LocalRep, twist: TwistData, case: str | None = None) -> tuple:
+    """Z(phi, B_i, s, mu; eta) / L(s+1/2, pi, mu) for each basis vector B_i:
+    case 4 for the old-form types I/IIb, cases 5/6 for IIIa/VIb.  ``case``
+    is the case asked for; by default it is the case of the type."""
+    old = rep.tag in ("I", "IIb")
+    _check_case_args(rep, twist, case or ("4" if old else "5/6"))
     qs1 = _T.inv() * _Q**2  # q^{s+1}
-    series = _dot(row, _column(pair.eta, index)) + qs1 * twist.u.inv() * row[index]
-    return mu_l_lfactor(twist) * series / (_Q**4 + 1)
+    if old:
+        pair = hecke_matrices(rep)
+        b = bessel_identity_values(rep)
+        tr = (pair.t10.scale(_Q**-2) + pair.eta).trace()
+        coeff = twist.u.inv() * qs1 + twist.u * (_T * _Q**2) - tr
+        return tuple(
+            (_dot(b, _column(pair.eta, i)) + _Q**-2 * _dot(b, _column(pair.t10, i))
+             + coeff * b[i]) / (_Q**4 + 1)
+            for i in range(len(b))
+        )
+    lead = twist.lam.inv() * twist.u.inv() * qs1 / (_Q**4 + 1)
+    return tuple(lead * v for v in bessel_identity_values(rep))
 
 
-def zeta_case4(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
-    """Case 4 closed form for the basis vector B_i (old forms, type I/IIb).
+def _closed(rep: LocalRep, twist: TwistData, case: str) -> tuple:
+    over_l = _over_l(rep, twist, case)
+    spin = shift_half(spinor_lfactor(rep, twist))
+    return tuple(z * spin for z in over_l)
+
+
+def _series(rep: LocalRep, twist: TwistData, case: str) -> tuple:
+    """Z(phi, B_i, s, mu; eta) by the geometric-series route, for each B_i:
+    L(s+1, Lambda mu_L)/(q^2+1) * { sum_l (eta B_i)(h(l,0)) X_0^l
+        + Lambda(pi)^{-1} u^{-1} q^{s+1} sum_l B_i(h(l,0)) X_0^l }."""
+    _check_case_args(rep, twist, case)
+    row, pair = _series_linear_forms(rep, twist.u * _T * _Q**2)
+    head = _T.inv() * _Q**2 * twist.lam.inv() * twist.u.inv()
+    mu_l = mu_l_lfactor(twist)
+    return tuple(
+        mu_l * (_dot(row, _column(pair.eta, i)) + head * row[i]) / (_Q**4 + 1)
+        for i in range(len(row))
+    )
+
+
+def zeta_case4(rep: LocalRep, twist: TwistData) -> tuple:
+    """Case 4 closed form for each basis vector B_i (old forms, type I/IIb).
 
     L(s+1/2,pi,mu)/(q^2+1) * [eta B + q^{-1} T_{1,0} B
         + {u^{-1} q^{s+1} + u q^{-s+1} - tr(q^{-1} T_{1,0} + eta)} B](1_4).
     """
-    return _case4_over_l(rep, twist, index) * shift_half(spinor_lfactor(rep, twist))
+    return _closed(rep, twist, "4")
 
 
-def _case4_over_l(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
-    """zeta_case4 divided by L(s+1/2, pi, mu)."""
-    _check_case4_args(rep, twist, index)
-    pair = hecke_matrices(rep)
-    b = bessel_identity_values(rep)
-    tr = (pair.t10.scale(_Q**-2) + pair.eta).trace()
-    qs1, qms1 = _T.inv() * _Q**2, _T * _Q**2
-    bracket = (
-        _dot(b, _column(pair.eta, index))
-        + _Q**-2 * _dot(b, _column(pair.t10, index))
-        + (twist.u.inv() * qs1 + twist.u * qms1 - tr) * b[index]
-    )
-    return bracket / (_Q**4 + 1)
+def zeta_case4_series(rep: LocalRep, twist: TwistData) -> tuple:
+    """Case 4 by the geometric-series route, for each basis vector (Lambda = 1)."""
+    return _series(rep, twist, "4")
 
 
-def _check_case4_args(rep, twist, index):
-    if rep.tag not in ("I", "IIb"):
-        raise ValueError("case 4 needs type I or IIb")
-    _require_trivial_cc(rep, "case 4")
-    if not twist.unramified:
-        raise ValueError("case 4 needs an unramified twist")
-    if twist.lam != RF_ONE:
-        raise ValueError("case 4 is stated for Lambda = 1")
-    _check_index(rep, index)
-
-
-def zeta_case5_6(rep: LocalRep, twist: TwistData = UNRAMIFIED, index: int = 0) -> RatFunc:
-    """Cases 5/6 closed form: newform zeta integral for IIIa and VIb.
+def zeta_case5_6(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> tuple:
+    """Cases 5/6 closed form for each basis vector (newforms IIIa and VIb).
 
     Lambda(pi)^{-1} mu(pi)^{-1} q^{s+1} / (q^2+1) * L(s+1/2,pi,mu) * B(1_4),
     with B(1_4) taken from the basis values (1, alpha^-1) resp. (1,).
     The display keeps Lambda(pi) symbolic; the series identity behind it
     holds under trivial central character, where Lambda(pi) = 1.
     """
-    return _case5_6_over_l(rep, twist, index) * shift_half(spinor_lfactor(rep, twist))
+    return _closed(rep, twist, "5/6")
 
 
-def _case5_6_over_l(rep: LocalRep, twist: TwistData, index: int) -> RatFunc:
-    """zeta_case5_6 divided by L(s+1/2, pi, mu)."""
-    _check_case5_6_args(rep, twist, index)
-    qs1 = _T.inv() * _Q**2
-    lead = twist.lam.inv() * twist.u.inv() * qs1 / (_Q**4 + 1)
-    return lead * bessel_identity_values(rep)[index]
-
-
-def zeta_case5_6_series(rep: LocalRep, twist: TwistData, index: int = 0) -> RatFunc:
+def zeta_case5_6_series(rep: LocalRep, twist: TwistData) -> tuple:
     """Cases 5/6 by the geometric-series route (eigen-data matrices)."""
-    _check_case5_6_args(rep, twist, index)
-    x0 = twist.u * _T * _Q**2
-    row, pair = _series_linear_forms(rep, x0)
-    qs1 = _T.inv() * _Q**2
-    series = (_dot(row, _column(pair.eta, index))
-              + qs1 * twist.lam.inv() * twist.u.inv() * row[index])
-    return mu_l_lfactor(twist) * series / (_Q**4 + 1)
-
-
-def _check_case5_6_args(rep, twist, index):
-    if rep.tag not in ("IIIa", "VIb"):
-        raise ValueError("cases 5/6 need type IIIa or VIb")
-    if not twist.unramified:
-        raise ValueError("cases 5/6 need an unramified twist")
-    _check_index(rep, index)
+    return _series(rep, twist, "5/6")
 
 
 def local_period(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
@@ -334,13 +329,12 @@ def local_period(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
     alpha -> alpha^-1 etc.  Everything stays inside the rational-function
     field because only |B(1_4)|^2 / <B|B> combinations appear.
     """
-    z_star = _case4_over_l if rep.tag in ("I", "IIb") else _case5_6_over_l
     conj = rep.conjugation_map()
     b = bessel_identity_values(rep)
     norms = bessel_norms(rep)
     total = RF_ZERO
-    for i in range(len(b)):
-        total = total + z_star(rep, twist, i) * b[i].subst(conj) / norms[i]
+    for z, v, norm in zip(_over_l(rep, twist), b, norms):
+        total = total + z * v.subst(conj) / norm
     return total
 
 

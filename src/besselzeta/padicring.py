@@ -445,17 +445,21 @@ def smith_normal_form(m) -> tuple:
         a[i] = [-x for x in a[i]]
         U[i] = [-x for x in U[i]]
 
-    t = 0
-    while t < min(rows, cols):
-        # move a smallest-magnitude nonzero entry of the trailing block to (t,t)
+    def smallest_pivot(t):  # a smallest-magnitude nonzero entry of the trailing block
         pivot = None
         for i in range(t, rows):
             for j in range(t, cols):
                 if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
                     pivot = (i, j)
+        return pivot
+
+    for t in range(min(rows, cols)):
+        pivot = smallest_pivot(t)
         if pivot is None:
             break
         while True:
+            # move the pivot to (t,t), then reduce its row and column by it;
+            # a nonzero remainder is smaller than the pivot and becomes the next one
             i, j = pivot
             if i != t:
                 row_swap(t, i)
@@ -467,36 +471,23 @@ def smith_normal_form(m) -> tuple:
             for i in range(t + 1, rows):
                 if a[i][t]:
                     row_op(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        dirty = True
+                    dirty = dirty or a[i][t] != 0
             for j in range(t + 1, cols):
                 if a[t][j]:
                     col_op(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                # enforce divisibility into the remaining block
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t]:
-                            offender = i
-                            break
-                    if offender:
-                        break
+                    dirty = dirty or a[t][j] != 0
+            if not dirty:
+                # row and column t are clear; enforce divisibility into the
+                # remaining block by adding the first offending row to row t
+                offender = next(
+                    (i for i in range(t + 1, rows)
+                     if any(a[i][j] % a[t][t] for j in range(t + 1, cols))),
+                    None,
+                )
                 if offender is None:
                     break
                 row_op(t, offender, 1)
-            pivot = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] and (
-                        pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
-        t += 1
+            pivot = smallest_pivot(t)
     diag = [a[i][i] for i in range(min(rows, cols))]
     return diag, U, V
 
@@ -507,7 +498,7 @@ def smith_form_2x2(m) -> tuple:
     Returns (d1, d2, U, V) with U m V = diag(d1, d2), d1 | d2, d1, d2 > 0
     and U, V unimodular.
     """
-    if len(m) != 2 or len(m[0]) != 2:
+    if len(m) != 2 or any(len(row) != 2 for row in m):
         raise ValueError("expected a 2x2 matrix")
     if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
         raise ValueError("singular matrix has no Smith form here")
@@ -659,6 +650,12 @@ def zeta_case2_3_closed(
     return z_phi, z_phi_hat
 
 
+# the coset sum takes the unit integrals at n within _COSET_WINDOW of the
+# valuation where the lemma puts their support, and drops terms below _COSET_TOL
+_COSET_WINDOW = 3
+_COSET_TOL = 1e-12
+
+
 def zeta_case2_3_cosets(
     setup: BesselSetup,
     e: int,
@@ -667,8 +664,6 @@ def zeta_case2_3_cosets(
     s: complex,
     bessel_diag,
     lam: complex = 1.0,
-    window: int = 3,
-    tol: float = 1e-12,
 ) -> tuple:
     """Independent route: the finite coset sum over K_0^#(p^e) \\ K^#.
 
@@ -699,13 +694,13 @@ def zeta_case2_3_cosets(
     # xi = 0 mod p^e, so the identity is the one term left
     f_id = p ** float(-2 * e + 2) / (p**2 - 1)
     acc = 0j
-    for n in range(-e, -e + window + 1):
+    for n in range(-e, -e + _COSET_WINDOW + 1):
         coef = (
             u**n
             * p ** (-n * (s - 1))
             * unit_psi_mu_integral(mu, n, Fraction(-d, 2))
         )
-        if abs(coef) > tol:
+        if abs(coef) > _COSET_TOL:
             acc += coef * bessel_value(e + n, 0)
     z_phi = f_id * acc * prefactor
 
@@ -729,14 +724,12 @@ def zeta_case2_3_cosets(
                 )
             j = ord_p(v, p)
             acc = 0j
-            lo = j - e - window
-            hi = j - e + window
-            for n in range(lo, hi + 1):
+            for n in range(j - e - _COSET_WINDOW, j - e + _COSET_WINDOW + 1):
                 scale = Fraction(-(a_s**4) * d, 2) / v
                 coef = u**n * p ** (-n * (s - 1)) * unit_psi_mu_integral(
                     mu, n, scale
                 )
-                if abs(coef) > tol:
+                if abs(coef) > _COSET_TOL:
                     acc += coef * bessel_value(e + n - 2 * j, j)
             z_hat += f_hat * acc
     z_hat *= prefactor

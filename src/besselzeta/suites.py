@@ -106,9 +106,8 @@ def suite_case4() -> dict:
     for tag in ("I", "IIb"):
         rep = LocalRep.symbolic_trivial(tag)
         spin = shift_half(spinor_lfactor(rep, tw))
-        for idx in range(len(lz.bessel_identity_values(rep))):
-            closed = lz.zeta_case4(rep, tw, idx)
-            series = lz.zeta_case4_series(rep, tw, idx)
+        pairs = zip(lz.zeta_case4(rep, tw), lz.zeta_case4_series(rep, tw))
+        for idx, (closed, series) in enumerate(pairs):
             cases.append(
                 _equal_forms_case(
                     f"case4-{tag}-B{idx + 1}",
@@ -140,9 +139,8 @@ def suite_case56_periods() -> dict:
     cases = []
     tw = TwistData(u=rf_var("U"))
     rep3 = LocalRep.symbolic_trivial("IIIa")
-    for idx in (0, 1):
-        a = lz.zeta_case5_6(rep3, tw, idx)
-        b = lz.zeta_case5_6_series(rep3, tw, idx)
+    pairs = zip(lz.zeta_case5_6(rep3, tw), lz.zeta_case5_6_series(rep3, tw))
+    for idx, (a, b) in enumerate(pairs):
         cases.append(
             _equal_forms_case(
                 f"case5-IIIa-B{idx + 1}",
@@ -155,8 +153,7 @@ def suite_case56_periods() -> dict:
         )
     for sign in (1, -1):
         rep6 = LocalRep.symbolic_trivial("VIb", sign)
-        a = lz.zeta_case5_6(rep6, tw, 0)
-        b = lz.zeta_case5_6_series(rep6, tw, 0)
+        (a,), (b,) = lz.zeta_case5_6(rep6, tw), lz.zeta_case5_6_series(rep6, tw)
         cases.append(
             _equal_forms_case(
                 f"case6-VIb-gamma{sign:+d}",

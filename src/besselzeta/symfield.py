@@ -537,11 +537,6 @@ RF_ZERO = RatFunc(_ZERO)
 RF_ONE = RatFunc(_ONE)
 
 
-def rf(value) -> RatFunc:
-    """Shorthand coercion to RatFunc (int, Fraction, Var, LaurentPoly)."""
-    return RatFunc.coerce(value)
-
-
 def rf_var(name: str, exp: int = 1) -> RatFunc:
     return RatFunc.var(name, exp)
 
@@ -558,11 +553,6 @@ def rf_arith(lhs: RatFunc, rhs: RatFunc, op: str) -> RatFunc:
     if op == "div":
         return lhs / rhs
     raise ValueError(f"unknown operation {op!r}")
-
-
-def rf_subst(f: RatFunc, bindings: Mapping[str, "RatFunc"]) -> RatFunc:
-    """Function form of RatFunc.subst."""
-    return RatFunc.coerce(f).subst(bindings)
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,36 @@ def test_readme_example_golden(name, argv):
     ["zeta-local", "--case", "1", "--type", "I", "--symbolic", "--index", "9"],
     # the trivial character mod 3 is outside the norm-sum lemma
     ["gauss", "--p", "3", "--char-index", "0", "--check", "normsum"],
+    # basis indices outside 0..n-1; a tuple would accept -1 silently
+    ["zeta-local", "--case", "4", "--type", "I", "--symbolic", "--index", "-1"],
+    ["zeta-local", "--case", "4", "--type", "I", "--symbolic", "--index", "4"],
+    ["zeta-local", "--case", "5", "--type", "IIIa", "--symbolic", "--index", "2"],
+    ["zeta-local", "--case", "5", "--type", "IIIa", "--symbolic", "--index", "5"],
+    ["zeta-local", "--case", "6", "--type", "VIb", "--symbolic", "--index", "-1"],
+    ["zeta-local", "--case", "6", "--type", "VIb", "--symbolic", "--index", "1"],
+    ["zeta-local", "--case", "6", "--type", "VIb", "--symbolic", "--index", "5"],
+    # a ragged matrix: a short second row, a long second row
+    ["gauss", "--p", "3", "--check", "smith", "--matrix", "2,7;4"],
+    ["gauss", "--p", "3", "--check", "smith", "--matrix", "2,7;4,9,1"],
 ])
 def test_rejected_input_exits_2(argv, capsys):
     code, out = _run(argv)
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error" in err
+
+
+@pytest.mark.parametrize("case,rep_type,index,n", [
+    ("4", "I", "-1", 4), ("4", "IIb", "3", 3), ("5", "IIIa", "-1", 2), ("6", "VIb", "1", 1),
+])
+def test_zeta_local_index_message(case, rep_type, index, n, capsys):
+    code, _ = _run(["zeta-local", "--case", case, "--type", rep_type, "--symbolic",
+                    "--index", index])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"besselzeta zeta-local: error: ValueError: basis index {index} out of "
+        f"range for type {rep_type} (0..{n - 1})\n"
+    )
 
 
 def test_zeta_local_case1_compares_two_routes(monkeypatch):

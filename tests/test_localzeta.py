@@ -168,34 +168,26 @@ def test_case4_closed_equals_series_and_involution():
     for tag in ("I", "IIb"):
         rep = LocalRep.symbolic_trivial(tag)
         spin = shift_half(spinor_lfactor(rep, TW))
-        for idx in range(len(bessel_identity_values(rep))):
-            closed = zeta_case4(rep, TW, idx)
-            assert closed == zeta_case4_series(rep, TW, idx)
+        closed_all = zeta_case4(rep, TW)
+        assert len(closed_all) == len(bessel_identity_values(rep))
+        assert closed_all == zeta_case4_series(rep, TW)
+        for closed in closed_all:
             norm = closed / spin
             assert norm.subst(inv) == norm
 
 
 def test_case4_preconditions():
     with pytest.raises(ValueError):
-        zeta_case4(LocalRep.symbolic("I"), TW, 0)  # nontrivial central character
+        zeta_case4(LocalRep.symbolic("I"), TW)  # nontrivial central character
     with pytest.raises(ValueError):
-        zeta_case4(LocalRep.symbolic_trivial("I"), TwistData(u=U, lam=L), 0)
+        zeta_case4(LocalRep.symbolic_trivial("I"), TwistData(u=U, lam=L))
     with pytest.raises(ValueError):
-        zeta_case4(LocalRep.symbolic("IIIa"), TW, 0)
-
-
-@pytest.mark.parametrize("fn", [zeta_case4, zeta_case4_series])
-def test_case4_basis_index_in_range(fn):
-    rep = LocalRep.symbolic_trivial("I")
-    for index in (-1, 4, 9):  # type I has the 4 basis vectors 0..3
-        with pytest.raises(ValueError):
-            fn(rep, TW, index)
+        zeta_case4(LocalRep.symbolic("IIIa"), TW)
 
 
 def test_case5_6_closed_forms():
     rep3 = LocalRep.symbolic_trivial("IIIa")
-    z0 = zeta_case5_6(rep3, TwistData(u=U, lam=L), 0)
-    z1 = zeta_case5_6(rep3, TwistData(u=U, lam=L), 1)
+    z0, z1 = zeta_case5_6(rep3, TwistData(u=U, lam=L))
     # second basis vector scales by B_2(1_4) = alpha^{-1} = gamma^2
     alpha = rep3.alpha
     assert z1 == z0 * alpha.inv()
@@ -206,20 +198,20 @@ def test_case5_6_closed_forms():
 
 def test_case5_6_series_equality_under_constraints():
     rep3 = LocalRep.symbolic_trivial("IIIa")
-    for idx in (0, 1):
-        assert zeta_case5_6(rep3, TW, idx) == zeta_case5_6_series(rep3, TW, idx)
+    z3 = zeta_case5_6(rep3, TW)
+    assert len(z3) == 2 and z3 == zeta_case5_6_series(rep3, TW)
     for sign in (1, -1):
         rep6 = LocalRep.symbolic_trivial("VIb", sign)
-        assert zeta_case5_6(rep6, TW, 0) == zeta_case5_6_series(rep6, TW, 0)
+        z6 = zeta_case5_6(rep6, TW)
+        assert len(z6) == 1 and z6 == zeta_case5_6_series(rep6, TW)
 
 
 @pytest.mark.parametrize("fn", [zeta_case5_6, zeta_case5_6_series])
-def test_case5_6_basis_index_in_range(fn):
-    for tag, n in (("IIIa", 2), ("VIb", 1)):
-        rep = LocalRep.symbolic_trivial(tag)
-        for index in (-1, n, 5):
-            with pytest.raises(ValueError):
-                fn(rep, TW, index)
+def test_case5_6_preconditions(fn):
+    with pytest.raises(ValueError, match="cases 5/6 need type IIIa or VIb"):
+        fn(LocalRep.symbolic_trivial("I"), TW)
+    with pytest.raises(ValueError, match="cases 5/6 need an unramified twist"):
+        fn(LocalRep.symbolic_trivial("VIb"), TwistData(e=1))
 
 
 def test_local_periods_match_displays():
@@ -310,6 +302,34 @@ def test_series_memo_solves_each_system_once(monkeypatch):
     monkeypatch.setattr(RatMatrix, "solve", counted)
     suites.suite_case4()
     assert calls == [4, 3]
+
+
+def _count_calls(monkeypatch, modules, name):
+    # every module that imported the function by name gets the counting copy
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_local_period_builds_the_hecke_pair_once(monkeypatch):
+    calls = _count_calls(monkeypatch, [lz], "hecke_matrices")
+    local_period(LocalRep.symbolic_trivial("I"), TW)
+    assert len(calls) == 1
+
+
+def test_suite_case4_builds_two_lfactors_per_type(monkeypatch):
+    # per type: the suite's own L(s+1/2) for the involution check, and one
+    # for the closed forms of all basis vectors
+    calls = _count_calls(monkeypatch, [lz, suites], "spinor_lfactor")
+    suites.suite_case4()
+    assert len(calls) == 4
 
 
 _ORDER_PROBE = """

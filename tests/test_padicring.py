@@ -311,6 +311,115 @@ def test_smith_normal_form_rectangular():
     assert diag[0] == 2 and diag[1] == 0
 
 
+def _smith_reference(m) -> tuple:
+    """An earlier smith_normal_form, kept as written, with the pivot search
+    spelled out twice and the clean-pass re-checks."""
+    rows = len(m)
+    cols = len(m[0])
+    a = [[int(x) for x in row] for row in m]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, k):  # row_i += k * row_j
+        for mat, w in ((a, cols), (U, rows)):
+            for col in range(w):
+                mat[i][col] += k * mat[j][col]
+
+    def col_op(i, j, k):  # col_i += k * col_j
+        for row in a:
+            row[i] += k * row[j]
+        for row in V:
+            row[i] += k * row[j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        U[i] = [-x for x in U[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        # move a smallest-magnitude nonzero entry of the trailing block to (t,t)
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        while True:
+            i, j = pivot
+            if i != t:
+                row_swap(t, i)
+            if j != t:
+                col_swap(t, j)
+            if a[t][t] < 0:
+                row_negate(t)
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    row_op(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    col_op(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        dirty = True
+            if not dirty and all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
+                a[t][j] == 0 for j in range(t + 1, cols)
+            ):
+                # enforce divisibility into the remaining block
+                offender = None
+                for i in range(t + 1, rows):
+                    for j in range(t + 1, cols):
+                        if a[i][j] % a[t][t]:
+                            offender = i
+                            break
+                    if offender:
+                        break
+                if offender is None:
+                    break
+                row_op(t, offender, 1)
+            pivot = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if a[i][j] and (
+                        pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
+                    ):
+                        pivot = (i, j)
+        t += 1
+    diag = [a[i][i] for i in range(min(rows, cols))]
+    return diag, U, V
+
+
+def test_smith_normal_form_matches_reference():
+    # same row and column operations, so the same (diag, U, V) bit for bit
+    rng = random.Random(2024)
+    for _ in range(2500):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        bound = rng.choice((1, 3, 12, 60))
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        for i in range(rows):
+            if rng.random() < 0.15:
+                m[i] = [0] * cols
+        assert smith_normal_form(m) == _smith_reference(m), m
+
+
+def test_smith_2x2_rejects_ragged_rows():
+    for m in ([[2, 7], [4]], [[2, 7], [4, 9, 1]], [[2], [4, 9]], [[2, 7]]):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            smith_form_2x2(m)
+
+
 def test_factorization_helpers_against_brute_force():
     for n in range(1, 2001):
         facs = factorize(n)
