@@ -110,6 +110,9 @@ def cmd_lfactor(args) -> int:
     return 0
 
 
+_NEWFORM_TYPE = {"5": "IIIa", "6": "VIb"}
+
+
 def cmd_zeta_local(args) -> int:
     rep = _rep(args)
     tw = _twist(args)
@@ -123,20 +126,22 @@ def cmd_zeta_local(args) -> int:
             raise ValueError("case 1 is checked at Lambda(pi) = 1; --lam must be 1")
         closed = shift_half(spinor_lfactor(rep, tw))
         series = lz.zeta_case1(rep, tw)
-    elif case == "4":
-        closed, series = lz.zeta_case4(rep, tw), lz.zeta_case4_series(rep, tw)
-    elif case in ("5", "6"):
-        closed, series = lz.zeta_case5_6(rep, tw), lz.zeta_case5_6_series(rep, tw)
     else:
-        raise SystemExit(f"unsupported case {case}")
-    if case != "1":
-        # one value per basis vector; a tuple would take a negative index
+        closed_fn, series_fn = (lz.zeta_case4, lz.zeta_case4_series) if case == "4" \
+            else (lz.zeta_case5_6, lz.zeta_case5_6_series)
+        closed = closed_fn(rep, tw)
+        # one value per basis vector; a tuple would take a negative index.
+        # Checked before the series route, whose case 5/6 hypotheses are
+        # stricter than the closed form's.
         n = len(closed)
         if not 0 <= args.index < n:
             raise ValueError(
                 f"basis index {args.index} out of range for type {rep.tag} (0..{n - 1})"
             )
-        closed, series = closed[args.index], series[args.index]
+        # case 5 is the IIIa newform and case 6 the VIb one
+        if case in _NEWFORM_TYPE and rep.tag != _NEWFORM_TYPE[case]:
+            raise ValueError(f"case {case} is stated for type {_NEWFORM_TYPE[case]}")
+        closed, series = closed[args.index], series_fn(rep, tw)[args.index]
     match = closed == series
     _emit(
         {

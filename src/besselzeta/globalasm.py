@@ -14,6 +14,7 @@ analytic continuation is attempted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -41,19 +42,109 @@ def arch_lfactor(s: complex, l1: int, l2: int) -> complex:
     )
 
 
+# QUADPACK's QK15I rule (Piessens et al. 1983): the 15-point Kronrod nodes
+# on [0, 1] with the centre last, their weights, and the weights of the
+# embedded 7-point Gauss rule, which are zero at the Kronrod-only nodes.
+_XGK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG = (
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+)
+_QUAD_TOL = 1.49e-8  # absolute and relative, scipy's quad defaults
+_QUAD_LIMIT = 50  # subintervals
+
+
+def _qk15i(f, lo: float, hi: float) -> tuple:
+    """QK15I on (lo, hi] in t, for int_0^inf f(a) da under a = (1 - t)/t:
+    (integral, error estimate, resasc), with QUADPACK's operation order."""
+    centr = 0.5 * (lo + hi)
+    hlgth = 0.5 * (hi - lo)
+    fc = f((1.0 - centr) / centr) / centr / centr
+    resg = _WG[7] * fc
+    resk = _WGK[7] * fc
+    resabs = abs(resk)
+    fv = []
+    for j in range(7):
+        absc = hlgth * _XGK[j]
+        t1, t2 = centr - absc, centr + absc
+        f1 = f((1.0 - t1) / t1) / t1 / t1
+        f2 = f((1.0 - t2) / t2) / t2 / t2
+        fv.append((f1, f2))
+        resg += _WG[j] * (f1 + f2)
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    reskh = resk * 0.5
+    resasc = _WGK[7] * abs(fc - reskh)
+    for w, (f1, f2) in zip(_WGK, fv):
+        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
+    resasc *= hlgth
+    err = abs((resk - resg) * hlgth)
+    if resasc != 0 and err != 0:
+        err = resasc * min(1.0, (200 * err / resasc) ** 1.5)
+    return resk * hlgth, max(50 * sys.float_info.epsilon * (resabs * hlgth), err), resasc
+
+
+def _quad_0_inf(f) -> float:
+    """int_0^inf f by QK15I with global bisection of the largest-error
+    interval: QUADPACK's QAGI without its epsilon extrapolation.  Raises
+    ArithmeticError if _QUAD_LIMIT intervals do not meet the bound."""
+    result, err, resasc = _qk15i(f, 0.0, 1.0)
+    if err == 0 or (err <= max(_QUAD_TOL, _QUAD_TOL * abs(result)) and err != resasc):
+        return result
+    # (lo, hi, integral, error); a bisected interval's larger-error half
+    # keeps its slot and the other is appended, which fixes the final sum
+    parts = [(0.0, 1.0, result, err)]
+    area, errsum = result, err
+    while len(parts) < _QUAD_LIMIT:
+        i = max(range(len(parts)), key=lambda k: parts[k][3])
+        lo, hi, r, e = parts[i]
+        mid = 0.5 * (lo + hi)
+        r1, e1, _ = _qk15i(f, lo, mid)
+        r2, e2, _ = _qk15i(f, mid, hi)
+        area = area + (r1 + r2) - r
+        errsum = errsum + (e1 + e2) - e
+        halves = [(lo, mid, r1, e1), (mid, hi, r2, e2)]
+        if e2 > e1:
+            halves.reverse()
+        parts[i] = halves[0]
+        parts.append(halves[1])
+        if errsum <= max(_QUAD_TOL, _QUAD_TOL * abs(area)):
+            return sum(p[2] for p in parts)
+    raise ArithmeticError(f"quadrature not converged in {_QUAD_LIMIT} intervals")
+
+
 def mellin_gamma_pin(sigma: float, d: int) -> dict:
     """Quadrature check of the Mellin step behind the archimedean factor:
 
         int_0^infty a^{sigma-1} exp(-2 pi sqrt|d| a) da = Gamma(sigma) c^{-sigma}
 
     with c = 2 pi sqrt(|d|).  Returns both sides and the relative error.
-    """
-    from scipy.integrate import quad
 
+    The quadrature is QUADPACK's QK15I rule with bisection, to absolute and
+    relative tolerance 1.49e-8; it equals scipy's ``quad`` bit for bit
+    wherever ``quad`` does not extrapolate (sigma >= 3 in practice).  The
+    domain is sigma >= 1, where the integrand is finite at a = 0, and
+    d != 0, where the integral converges; other inputs raise ValueError.
+    """
+    if sigma < 1:
+        raise ValueError(f"sigma = {sigma} < 1: the integrand is singular at a = 0")
+    if d == 0:
+        raise ValueError("d = 0: the integral diverges")
     c = _TWO_PI * math.sqrt(abs(d))
-    integral, _ = quad(
-        lambda a: a ** (sigma - 1) * math.exp(-c * a), 0.0, math.inf
-    )
+    integral = _quad_0_inf(lambda a: a ** (sigma - 1) * math.exp(-c * a))
     closed = math.gamma(sigma) * c**-sigma
     return {
         "integral": integral,

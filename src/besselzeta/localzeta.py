@@ -238,16 +238,23 @@ _CASES = {
 }
 
 
-def _check_case_args(rep: LocalRep, twist: TwistData, case: str):
+def _check_case_args(rep: LocalRep, twist: TwistData, case: str, series: bool = False):
     tags, subject = _CASES[case]
     if rep.tag not in tags:
         raise ValueError(f"{subject} type {tags[0]} or {tags[1]}")
-    if case == "4":
-        _require_trivial_cc(rep, "case 4")
+    # the series identities hold at trivial central character and
+    # Lambda(pi) = 1; only the case 5/6 closed form keeps Lambda(pi) free
+    strict = "case 4" if case == "4" else "the case 5/6 series" if series else None
+    if strict:
+        _require_trivial_cc(rep, strict)
     if not twist.unramified:
         raise ValueError(f"{subject} an unramified twist")
-    if case == "4" and twist.lam != RF_ONE:
-        raise ValueError("case 4 is stated for Lambda = 1")
+    if strict and twist.lam != RF_ONE:
+        raise ValueError(f"{strict} is stated for Lambda = 1")
+    if twist.u.is_zero:
+        raise ValueError("u = mu(pi) must be nonzero")
+    if twist.lam.is_zero:
+        raise ValueError("lam = Lambda(pi) must be nonzero")
 
 
 def _over_l(rep: LocalRep, twist: TwistData, case: str | None = None) -> tuple:
@@ -281,7 +288,7 @@ def _series(rep: LocalRep, twist: TwistData, case: str) -> tuple:
     """Z(phi, B_i, s, mu; eta) by the geometric-series route, for each B_i:
     L(s+1, Lambda mu_L)/(q^2+1) * { sum_l (eta B_i)(h(l,0)) X_0^l
         + Lambda(pi)^{-1} u^{-1} q^{s+1} sum_l B_i(h(l,0)) X_0^l }."""
-    _check_case_args(rep, twist, case)
+    _check_case_args(rep, twist, case, series=True)
     row, pair = _series_linear_forms(rep, twist.u * _T * _Q**2)
     head = _T.inv() * _Q**2 * twist.lam.inv() * twist.u.inv()
     mu_l = mu_l_lfactor(twist)
@@ -317,7 +324,9 @@ def zeta_case5_6(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> tuple:
 
 
 def zeta_case5_6_series(rep: LocalRep, twist: TwistData) -> tuple:
-    """Cases 5/6 by the geometric-series route (eigen-data matrices)."""
+    """Cases 5/6 by the geometric-series route (eigen-data matrices), under
+    the hypotheses of the series identity: trivial central character and
+    Lambda(pi) = 1."""
     return _series(rep, twist, "5/6")
 
 

@@ -146,6 +146,26 @@ def test_readme_example_golden(name, argv):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+# inputs with a zero twist value or outside the case 5/6 hypotheses, and
+# their stderr message; --lam 0 on case 6 fails the closed form's check
+# first, so its message is the zero one
+HYPOTHESIS_REJECTS = [
+    (["zeta-local", "--case", "4", "--type", "I", "--u=0"], "u = mu(pi) must be nonzero"),
+    (["period", "--type", "I", "--u=0"], "u = mu(pi) must be nonzero"),
+    (["period", "--type", "IIIa", "--lam", "0"], "lam = Lambda(pi) must be nonzero"),
+    (["zeta-local", "--case", "6", "--type", "VIb", "--lam", "0"],
+     "lam = Lambda(pi) must be nonzero"),
+    (["zeta-local", "--case", "5", "--type", "IIIa", "--lam", "2"],
+     "the case 5/6 series is stated for Lambda = 1"),
+    (["zeta-local", "--case", "6", "--type", "VIb", "--symbolic", "--lam", "2"],
+     "the case 5/6 series is stated for Lambda = 1"),
+    (["zeta-local", "--case", "5", "--type", "IIIa", "--satake=-1,-1"],
+     "the case 5/6 series requires trivial central character"),
+    (["zeta-local", "--case", "6", "--type", "IIIa"], "case 6 is stated for type VIb"),
+    (["zeta-local", "--case", "5", "--type", "VIb"], "case 5 is stated for type IIIa"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["gauss", "--p", "4", "--check", "split"],
     ["classgroup", "--D", "5"],
@@ -168,12 +188,25 @@ def test_readme_example_golden(name, argv):
     # a ragged matrix: a short second row, a long second row
     ["gauss", "--p", "3", "--check", "smith", "--matrix", "2,7;4"],
     ["gauss", "--p", "3", "--check", "smith", "--matrix", "2,7;4,9,1"],
+    *(argv for argv, _ in HYPOTHESIS_REJECTS),
 ])
 def test_rejected_input_exits_2(argv, capsys):
     code, out = _run(argv)
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv,message", HYPOTHESIS_REJECTS)
+def test_case_hypothesis_messages(argv, message, capsys):
+    assert _run(argv) == (2, "")
+    assert capsys.readouterr().err == f"besselzeta {argv[0]}: error: ValueError: {message}\n"
+
+
+def test_lfactor_accepts_zero_twist():
+    # the factor tables need no inverse of u
+    code, out = _run(["lfactor", "--type", "I", "--u", "0"])
+    assert code == 0 and json.loads(out)["command"] == "lfactor"
 
 
 @pytest.mark.parametrize("case,rep_type,index,n", [

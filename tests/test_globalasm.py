@@ -1,10 +1,16 @@
 import cmath
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from besselzeta import globalasm
 from besselzeta.globalasm import (
     DirichletChar,
     GlobalParams,
@@ -44,6 +50,61 @@ def test_mellin_quadrature_pin():
     for sigma, d in ((4.5, -4), (7.0, -23), (3.0, -3)):
         r = mellin_gamma_pin(sigma, d)
         assert r["rel_err"] < 1e-6
+
+
+def _mellin_integrand(sigma, d):
+    c = 2 * math.pi * math.sqrt(abs(d))
+    return lambda a: a ** (sigma - 1) * math.exp(-c * a)
+
+
+def test_mellin_quadrature_equals_scipy_quad():
+    # where quad does not extrapolate, the QK15I rule with bisection is
+    # quad's own computation, so the floats agree bit for bit
+    quad = pytest.importorskip("scipy.integrate").quad
+    rng = random.Random(8)
+    for _ in range(600):
+        sigma, d = rng.uniform(3.0, 30.0), -rng.randint(3, 2000)
+        want, _ = quad(_mellin_integrand(sigma, d), 0.0, math.inf)
+        assert mellin_gamma_pin(sigma, d)["integral"] == want, (sigma, d)
+
+
+@pytest.mark.parametrize("sigma", [1, 1.1, 1.5, 2, 2.5, 3, 4.5, 7, 12])
+@pytest.mark.parametrize("d", [-3, -4, -7, -23])
+def test_mellin_quadrature_meets_closed_form(sigma, d):
+    r = mellin_gamma_pin(sigma, d)
+    assert r["closed"] == math.gamma(sigma) * (2 * math.pi * math.sqrt(-d)) ** -sigma
+    assert r["rel_err"] < 1e-6
+
+
+def test_mellin_quadrature_suite_points():
+    # the arch_quadrature suite prints these integrals; the values are
+    # the ones scipy's quad returned
+    got = [mellin_gamma_pin(s, d)["integral"] for s, d in ((4.5, -4), (7.0, -23), (3.0, -3))]
+    assert got == [0.00013158302479621096, 3.191728869502827e-08, 0.0015517026739002356]
+
+
+def test_mellin_quadrature_domain():
+    with pytest.raises(ValueError, match="sigma"):
+        mellin_gamma_pin(0.5, -4)
+    with pytest.raises(ValueError, match="d = 0"):
+        mellin_gamma_pin(4.5, 0)
+    # a log-divergent integral never meets the bound: raise, do not return
+    with pytest.raises(ArithmeticError, match="not converged"):
+        globalasm._quad_0_inf(lambda a: 1.0 / (1.0 + a))
+
+
+def test_arch_suite_loads_no_scipy_or_numpy():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from besselzeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--suite', 'arch_quadrature']) == 0\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(globalasm.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_dirichlet_char_basics():

@@ -212,6 +212,23 @@ def test_case5_6_preconditions(fn):
         fn(LocalRep.symbolic_trivial("I"), TW)
     with pytest.raises(ValueError, match="cases 5/6 need an unramified twist"):
         fn(LocalRep.symbolic_trivial("VIb"), TwistData(e=1))
+    with pytest.raises(ValueError, match=r"u = mu\(pi\) must be nonzero"):
+        fn(LocalRep.symbolic_trivial("IIIa"), TwistData(u=0))
+
+
+def test_case5_6_series_hypotheses():
+    # the closed form keeps Lambda(pi) and the central character free; the
+    # series identity holds only at trivial central character, Lambda(pi) = 1
+    rep3 = LocalRep.symbolic_trivial("IIIa")
+    zeta_case5_6(rep3, TwistData(u=U, lam=L))
+    with pytest.raises(ValueError, match=r"lam = Lambda\(pi\) must be nonzero"):
+        zeta_case5_6(rep3, TwistData(u=U, lam=0))
+    with pytest.raises(ValueError, match="series is stated for Lambda = 1"):
+        zeta_case5_6_series(rep3, TwistData(u=U, lam=L))
+    odd = LocalRep("IIIa", (-1, -1))
+    zeta_case5_6(odd, TW)
+    with pytest.raises(ValueError, match="series requires trivial central character"):
+        zeta_case5_6_series(odd, TW)
 
 
 def test_local_periods_match_displays():
