@@ -5,7 +5,7 @@
 # T for q^(-s), A/B/G for the Satake parameters and U, L for twist values.
 # Run:  python demos/01_rational_functions.py
 
-from besselzeta import RatMatrix, geom_resolvent, parse_ratfunc, rf_arith, rf_var
+from besselzeta import RatMatrix, geom_resolvent, parse_ratfunc, rf_var
 
 Q, T, A = rf_var("Q"), rf_var("T"), rf_var("A")
 
@@ -16,8 +16,8 @@ expanded = (A * A - T * T) / (A * Q + T * Q)
 print("canonical equality:", factored == expanded)
 print("  stored as:", factored.to_text())
 
-# the four field operations through the dispatch used by the tooling
-print("sum:", rf_arith(1 / (1 - T), T / (1 - T), "add").to_text())
+# the four field operations are the Python operators + - * /
+print("sum:", (1 / (1 - T) + T / (1 - T)).to_text())
 
 # substitution is an exact field homomorphism; here the inversion symmetry
 # of a Laurent polynomial in X

@@ -81,10 +81,8 @@ from .symfield import (
     LaurentPoly,
     RatFunc,
     RatMatrix,
-    Var,
     geom_resolvent,
     parse_ratfunc,
-    rf_arith,
     rf_var,
 )
 

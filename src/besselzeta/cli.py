@@ -25,7 +25,7 @@ from . import localzeta as lz
 from . import padicring as pr
 from . import suites
 from .localrep import LocalRep, TwistData, shift_half, spinor_lfactor, std_lfactor
-from .symfield import RF_ONE, RatFunc, rf_var
+from .symfield import RatFunc, rf_var
 
 SCHEMA = "1"
 
@@ -118,14 +118,11 @@ def cmd_zeta_local(args) -> int:
     tw = _twist(args)
     case = args.case
     if case == "1":
-        # the spherical vector has no basis index, and the identity with
-        # the L-factor holds at Lambda(pi) = 1 only
+        # the spherical vector has no basis index
         if args.index != 0:
             raise ValueError("case 1 has no basis index; --index must be 0")
-        if tw.lam != RF_ONE:
-            raise ValueError("case 1 is checked at Lambda(pi) = 1; --lam must be 1")
-        closed = shift_half(spinor_lfactor(rep, tw))
         series = lz.zeta_case1(rep, tw)
+        closed = shift_half(spinor_lfactor(rep, tw))
     else:
         closed_fn, series_fn = (lz.zeta_case4, lz.zeta_case4_series) if case == "4" \
             else (lz.zeta_case5_6, lz.zeta_case5_6_series)
@@ -181,10 +178,11 @@ def cmd_period(args) -> int:
 
 def cmd_gauss(args) -> int:
     p, e = args.p, args.e
-    ring = pr.ResidueRing(p, e)
-    mu = pr.MultChar(ring, args.char_index)
-    inputs = {"p": p, "e": e, "char_index": args.char_index, "check": args.check,
-              "conductor": mu.conductor}
+    inputs = {"p": p, "e": e, "char_index": args.char_index, "check": args.check}
+    if args.check != "smith":  # smith uses neither the ring nor the character
+        ring = pr.ResidueRing(p, e)
+        mu = pr.MultChar(ring, args.char_index)
+        inputs["conductor"] = mu.conductor
     if args.check == "gauss":
         lhs = pr.unit_psi_mu_integral(mu, -e)
         rhs = pr.gauss_sum_lemma_value(mu, -e)
@@ -209,15 +207,13 @@ def cmd_gauss(args) -> int:
         rhs = (-1) ** e * p**e * mu(u)
         err = abs(lhs - rhs)
         inputs["unit"] = u
-    elif args.check == "smith":
+    else:  # smith; argparse admits no other check
         m = [[int(v) for v in row.split(",")] for row in args.matrix.split(";")]
         d1, d2, u_, v_ = pr.smith_form_2x2(m)
         lhs = {"U": u_, "V": v_}
         rhs = {"d1": d1, "d2": d2}
         err = 0.0
         inputs["matrix"] = m
-    else:
-        raise SystemExit(f"unknown check {args.check}")
     ok = err < 1e-9
     _emit(
         {

@@ -210,7 +210,8 @@ class DirichletChar:
 
     @property
     def is_even(self) -> bool:
-        return abs(self(self.modulus - 1) - 1) < 1e-12 if self.modulus > 1 else True
+        # -1 is g^(unit_order/2) in each component, so chi(-1) = (-1)^(sum k)
+        return sum(c.k for c in self.components) % 2 == 0
 
     def gauss_sum(self) -> complex:
         """G(chi) = sum_a chi(a) e^{2 pi i a / M}, assembled by CRT.

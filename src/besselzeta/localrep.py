@@ -7,7 +7,7 @@ descriptor are its closed-form invariants: the degree-4 spinor L-factor
 L-factor, the local epsilon factors of the computed cases, and the
 per-prime correction factor entering the spectral average.
 
-Satake parameters are RatFuncs, so symbolic (Var('A'), ...) and exact
+Satake parameters are RatFuncs, so symbolic (rf_var('A'), ...) and exact
 numeric rational specializations are handled uniformly.  Unitarity of the
 inducing characters is never checked; callers working on the unit circle
 get the conjugation convention alpha -> alpha**-1 downstream.

@@ -212,13 +212,11 @@ def zeta_case1(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
     """Case 1: the unramified zeta integral Z(phi, B0, s, mu; 1_4).
 
     Computed by closing the diagonal series at X_0 = mu(pi) q^{1-s}; equals
-    the spinor L-factor at s+1/2 (checked exactly by the acceptance suite)
-    when Lambda(pi) = 1.
+    the spinor L-factor at s+1/2 (checked exactly by the acceptance suite).
+    Like case 4 it is stated for trivial central character and
+    Lambda(pi) = 1.
     """
-    if rep.tag not in ("I", "IIb"):
-        raise ValueError("case 1 needs a spherical type")
-    if not twist.unramified:
-        raise ValueError("case 1 needs an unramified twist")
+    _check_case_args(rep, twist, "1")
     x0 = twist.u * _T * _Q**2
     return mu_l_lfactor(twist) * diag_series(rep, x0)
 
@@ -231,8 +229,9 @@ def _column(m: RatMatrix, j: int) -> list:
     return [m[i, j] for i in range(m.rows)]
 
 
-# the types of the non-spherical cases, and the subject of their error messages
+# the types of each case, and the subject of their error messages
 _CASES = {
+    "1": (("I", "IIb"), "case 1 needs"),
     "4": (("I", "IIb"), "case 4 needs"),
     "5/6": (("IIIa", "VIb"), "cases 5/6 need"),
 }
@@ -244,7 +243,7 @@ def _check_case_args(rep: LocalRep, twist: TwistData, case: str, series: bool = 
         raise ValueError(f"{subject} type {tags[0]} or {tags[1]}")
     # the series identities hold at trivial central character and
     # Lambda(pi) = 1; only the case 5/6 closed form keeps Lambda(pi) free
-    strict = "case 4" if case == "4" else "the case 5/6 series" if series else None
+    strict = f"case {case}" if case in ("1", "4") else "the case 5/6 series" if series else None
     if strict:
         _require_trivial_cc(rep, strict)
     if not twist.unramified:

@@ -53,36 +53,6 @@ BUILTIN_VARS = ("Q", "T", "A", "B", "G", "U", "L")
 Mono = tuple
 
 
-class Var:
-    """A named symbolic variable.
-
-    Names must be Python identifiers.  The builtin registry is the tuple
-    ``BUILTIN_VARS``; any other identifier is an extension variable.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if not isinstance(name, str) or not name.isidentifier():
-            raise ValueError(f"invalid variable name {name!r}")
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Var is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Var", self.name))
-
-    def __repr__(self):
-        return f"Var({self.name!r})"
-
-    def rf(self) -> "RatFunc":
-        return RatFunc.var(self.name)
-
-
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     if not m1:
         return m2
@@ -128,7 +98,8 @@ class LaurentPoly:
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
-        Var(name)  # validate
+        if not isinstance(name, str) or not name.isidentifier():
+            raise ValueError(f"invalid variable name {name!r}")
         if exp == 0:
             return LaurentPoly.const(1)
         return LaurentPoly({((name, exp),): 1})
@@ -336,8 +307,6 @@ class RatFunc:
     def coerce(value) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
-        if isinstance(value, Var):
-            return value.rf()
         if isinstance(value, LaurentPoly):
             return RatFunc(value)
         return RatFunc.const(value)
@@ -539,20 +508,6 @@ RF_ONE = RatFunc(_ONE)
 
 def rf_var(name: str, exp: int = 1) -> RatFunc:
     return RatFunc.var(name, exp)
-
-
-def rf_arith(lhs: RatFunc, rhs: RatFunc, op: str) -> RatFunc:
-    """Field arithmetic dispatch: op in {'add','sub','mul','div'}."""
-    lhs, rhs = RatFunc.coerce(lhs), RatFunc.coerce(rhs)
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

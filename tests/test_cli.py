@@ -103,6 +103,9 @@ def test_gauss_command():
                       "--matrix", "2,7;4,9"])
     assert code == 0
     assert json.loads(out)["rhs"]["d1"] == 1
+    # smith builds no residue ring, so --p need not be an odd prime
+    code, out = _run(["gauss", "--p", "4", "--check", "smith", "--matrix", "2,7;4,9"])
+    assert code == 0 and json.loads(out)["rhs"] == {"d1": 1, "d2": 10}
 
 
 def test_average_command(tmp_path):
@@ -146,7 +149,7 @@ def test_readme_example_golden(name, argv):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
-# inputs with a zero twist value or outside the case 5/6 hypotheses, and
+# inputs with a zero twist value or outside a case's hypotheses, and
 # their stderr message; --lam 0 on case 6 fails the closed form's check
 # first, so its message is the zero one
 HYPOTHESIS_REJECTS = [
@@ -163,6 +166,12 @@ HYPOTHESIS_REJECTS = [
      "the case 5/6 series requires trivial central character"),
     (["zeta-local", "--case", "6", "--type", "IIIa"], "case 6 is stated for type VIb"),
     (["zeta-local", "--case", "5", "--type", "VIb"], "case 5 is stated for type IIIa"),
+    (["zeta-local", "--case", "1", "--type", "I", "--u=0"], "u = mu(pi) must be nonzero"),
+    (["zeta-local", "--case", "1", "--type", "I", "--lam", "2"],
+     "case 1 is stated for Lambda = 1"),
+    (["zeta-local", "--case", "1", "--type", "IIIa"], "case 1 needs type I or IIb"),
+    (["zeta-local", "--case", "1", "--type", "I", "--satake", "2,1,1"],
+     "case 1 requires trivial central character"),
 ]
 
 
@@ -173,7 +182,6 @@ HYPOTHESIS_REJECTS = [
     ["lfactor", "--type", "I", "--satake", "1,2"],
     ["zeta-local", "--case", "4", "--type", "I", "--symbolic", "--index", "9"],
     ["zeta-local", "--case", "5", "--type", "IIIa", "--symbolic", "--index", "-1"],
-    ["zeta-local", "--case", "1", "--type", "I", "--lam", "2"],
     ["zeta-local", "--case", "1", "--type", "I", "--symbolic", "--index", "9"],
     # the trivial character mod 3 is outside the norm-sum lemma
     ["gauss", "--p", "3", "--char-index", "0", "--check", "normsum"],

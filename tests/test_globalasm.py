@@ -26,7 +26,7 @@ from besselzeta.globalasm import (
     zeta_partial,
 )
 from besselzeta.localrep import LocalRep
-from besselzeta.padicring import ResidueRing
+from besselzeta.padicring import ResidueRing, factorize
 
 
 def test_gamma_complex_high_precision_reference():
@@ -115,6 +115,14 @@ def test_dirichlet_char_basics():
     assert triv(7) == 1 and triv.gauss_sum() == 1
     with pytest.raises(ValueError):
         DirichletChar(6, (0,))
+
+
+def test_is_even_matches_value_at_minus_one():
+    for M in range(1, 151, 2):
+        orders = [p ** (k - 1) * (p - 1) for p, k in factorize(M)]
+        for ks in itertools.product(*(range(n) for n in orders)):
+            chi = DirichletChar(M, ks)
+            assert chi.is_even == (abs(chi(M - 1) - 1) < 1e-12), (M, ks)
 
 
 def test_gauss_sum_crt_equals_direct():

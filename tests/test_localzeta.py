@@ -161,6 +161,8 @@ def test_case1_preconditions():
         zeta_case1(LocalRep.symbolic("VIb"), TW)
     with pytest.raises(ValueError):
         zeta_case1(LocalRep.symbolic_trivial("I"), TwistData(e=1))
+    with pytest.raises(ValueError, match="u = mu\\(pi\\) must be nonzero"):
+        zeta_case1(LocalRep.symbolic_trivial("I"), TwistData(u=0))
 
 
 def test_case4_closed_equals_series_and_involution():

@@ -18,7 +18,6 @@ from besselzeta.padicring import (
     gauss_sum_lemma_value,
     is_odd_prime,
     is_squarefree,
-    mu_L_conductor,
     norm_char_sum,
     ord_p,
     psi_frac,
@@ -61,12 +60,27 @@ def test_char_multiplicativity_random_pairs():
                 assert abs(lhs - rhs) < 1e-12  # 10^4 pairs across the rings
 
 
+def _scan_conductor(mu):
+    """The least f with mu trivial on 1 + p^f o (on all units when f = 0)."""
+    ring = mu.ring
+    for f in range(ring.e + 1):
+        group = ring.units() if f == 0 else range(1, ring.modulus, ring.p**f)
+        if all(mu.value_exponent(a) == 0 for a in group):
+            return f
+    return ring.e
+
+
 def test_char_conductor():
     ring = ResidueRing(5, 2)
     chars = MultChar.all_chars(ring)
     assert sum(1 for c in chars if c.conductor == 0) == 1  # trivial
     assert sum(1 for c in chars if c.conductor <= 1) == 4  # lifted from mod 5
     assert sum(1 for c in chars if c.conductor == 2) == 16
+    rings = [(3, e) for e in range(1, 5)] + [(5, e) for e in range(1, 4)] \
+        + [(7, 1), (7, 2), (11, 1), (11, 2), (13, 2)]
+    for p, e in rings:
+        for mu in MultChar.all_chars(ResidueRing(p, e)):
+            assert mu.conductor == _scan_conductor(mu), mu
 
 
 def test_psi_frac_is_p_adic():
@@ -131,12 +145,27 @@ def test_split_lemma_pins():
     assert abs(gauss_sum_L(mu, g) + gauss_sum_F(mu) ** 2) < TOL
 
 
+def _scan_mu_L_conductor(mu, gring):
+    """The least f with mu o N trivial on 1 + p^f o_L (on all units when f = 0)."""
+    m = gring.modulus
+    for f in range(gring.e + 1):
+        if f == 0:
+            group = gring.units()
+        else:
+            step = gring.p**f
+            group = (((1 + a) % m, b) for a in range(0, m, step) for b in range(0, m, step))
+        if all(mu.ring.is_unit(gring.norm(z)) and mu.value_exponent(gring.norm(z)) == 0
+               for z in group):
+            return f
+    return gring.e
+
+
 def test_mu_L_conductor_matches():
-    for p, e in ((3, 1), (5, 2)):
-        ring = ResidueRing(p, e)
+    # N maps 1 + p^f o_L onto 1 + p^f o, so mu o N has the conductor of mu
+    for p, e in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)):
         gring = GaloisRing(p, e)
-        for mu in MultChar.primitive_chars(ring)[:3]:
-            assert mu_L_conductor(mu, gring) == e
+        for mu in MultChar.all_chars(ResidueRing(p, e)):
+            assert _scan_mu_L_conductor(mu, gring) == mu.conductor, mu
 
 
 def test_norm_surjectivity_by_image_counting():

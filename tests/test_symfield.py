@@ -9,11 +9,9 @@ from besselzeta.symfield import (
     LaurentPoly,
     RatFunc,
     RatMatrix,
-    Var,
     geom_resolvent,
     parse_ratfunc,
     poly_text,
-    rf_arith,
     rf_var,
 )
 
@@ -29,6 +27,8 @@ def test_cancellation_to_zero():
 def test_identity_quotient():
     num = (Q**2 - A) * (Q**2 - B)
     assert num / num == RF_ONE
+    with pytest.raises(ZeroDivisionError):
+        num / RF_ZERO
 
 
 def test_case4_bracket_collapse():
@@ -39,17 +39,6 @@ def test_case4_bracket_collapse():
         - q_inv4 * A0 * X**4
     den = X * (1 - q_inv4 * X**2)
     assert num / den == A0 * (X + X**-1) + A1
-
-
-def test_rf_arith_dispatch():
-    assert rf_arith(A, B, "add") == A + B
-    assert rf_arith(A, B, "sub") == A - B
-    assert rf_arith(A, B, "mul") == A * B
-    assert rf_arith(A, B, "div") == A / B
-    with pytest.raises(ZeroDivisionError):
-        rf_arith(A, RF_ZERO, "div")
-    with pytest.raises(ValueError):
-        rf_arith(A, B, "pow")
 
 
 def test_subst_symmetric_function():
@@ -245,9 +234,7 @@ def test_serialization_deterministic():
 
 def test_var_registry():
     with pytest.raises(ValueError):
-        Var("not a name!")
-    assert Var("Q") == Var("Q")
-    assert Var("Q").rf() == Q
+        rf_var("not a name!")
 
 
 def test_laurent_negative_power_of_polynomial_raises():
