@@ -172,6 +172,11 @@ def diag_series(rep: LocalRep, x) -> RatFunc:
     if rep.tag not in ("I", "IIb"):
         raise ValueError("diagonal Bessel series needs a spherical type")
     _require_trivial_cc(rep, "diag_series")
+    return _diag_series(rep, x)
+
+
+def _diag_series(rep: LocalRep, x) -> RatFunc:
+    """diag_series for a caller that has checked its hypotheses."""
     row, _ = _series_linear_forms(rep, x)
     return sum(row, RF_ZERO)
 
@@ -218,7 +223,7 @@ def zeta_case1(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
     """
     _check_case_args(rep, twist, "1")
     x0 = twist.u * _T * _Q**2
-    return mu_l_lfactor(twist) * diag_series(rep, x0)
+    return mu_l_lfactor(twist) * _diag_series(rep, x0)
 
 
 def _dot(u, v):

@@ -14,7 +14,11 @@ The Galois ring GR(p^e, 2) is realized as Z/p^e[x]/(x^2 - c) with c a
 quadratic non-residue mod p; the nontrivial automorphism is x -> -x, so
 norm and trace are N(a+bx) = a^2 - c b^2 and tr(a+bx) = 2a.
 
-Enumeration kernels are pure functions over immutable ring tables.
+Enumeration kernels are pure functions over immutable ring tables.  The
+coset-sum oracle brute-forces each distinct unit integral once per call:
+the integral at (n, scale) is a function of the character and of the exact
+key {p^n scale}_p = r0 / p^k alone, so a repeated key reuses the float its
+first sum gave, bit for bit.  No sum is kept between calls.
 """
 
 from __future__ import annotations
@@ -211,17 +215,20 @@ class GaloisRing:
     """GR(p^e, 2) = Z/p^e [x]/(x^2 - c), c a non-residue mod p."""
 
     def __init__(self, p: int, e: int, c: int | None = None):
-        self.base = ResidueRing(p, e)
+        if not is_odd_prime(p):
+            raise ValueError("p must be an odd prime")
+        if e < 1:
+            raise ValueError("exponent e must be >= 1")
+        self.p, self.e = p, e
+        self.modulus = p**e
         if c is None:
             c = next(
                 x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1
             )
-        c %= self.base.modulus
+        c %= self.modulus
         if pow(c % p, (p - 1) // 2, p) != p - 1:
             raise ValueError("c must reduce to a quadratic non-residue mod p")
         self.c = c
-        self.p, self.e = p, e
-        self.modulus = self.base.modulus
 
     # elements are pairs (a, b) meaning a + b sqrt(c)
     def elements(self):
@@ -294,18 +301,29 @@ def unit_psi_mu_integral(mu: MultChar, n: int, scale: Fraction = Fraction(1)) ->
 
     ``scale`` is any nonzero rational; the integral is computed as an exact
     average over units modulo p^K at a sufficiently deep level K.
+    """
+    scale = Fraction(scale)
+    if scale == 0:
+        raise ValueError("scale must be nonzero")
+    return _unit_integral_sum(mu, *_unit_integral_key(mu.ring.p, n, scale))
 
-    With {x}_p = r0 / p^k for x = p^n * scale, the term at a unit a is
-    psi(x a) = exp(2 pi i (r0 a mod p^k) / p^k): a is prime to p, so it
-    leaves the p-part of the denominator unchanged.
+
+def _unit_integral_key(p: int, n: int, scale: Fraction) -> tuple:
+    """(p^k, r0) with {p^n * scale}_p = r0 / p^k: the unit integral at
+    (n, scale) depends on nothing else, for a given character."""
+    return _p_adic_frac(Fraction(p) ** n * scale, p)
+
+
+def _unit_integral_sum(mu: MultChar, pk: int, r0: int) -> complex:
+    """The unit integral with {x}_p = r0 / p^k, summed over the units
+    modulo p^K, K = max(e, k, 1).
+
+    The term at a unit a is psi(x a) = exp(2 pi i (r0 a mod p^k) / p^k): a
+    is prime to p, so it leaves the p-part of the denominator unchanged.
     """
     ring = mu.ring
     p, pe = ring.p, ring.modulus
-    scale = Fraction(scale)
-    v = n + ord_p(scale, p)
-    K = max(ring.e, -v, 1)
-    pK = p**K
-    pk, r0 = _p_adic_frac(Fraction(p) ** n * scale, p)
+    pK = max(pe, pk, p)
     psi, values = ring._roots(pk), mu._values
     total = 0j
     for a in range(1, pK):
@@ -642,12 +660,30 @@ def zeta_case2_3_cosets(
     values come from the f-lemma, the Bessel-argument reduction from the
     Y_eta lemma, unit integrals are brute-forced, and the diagonal Bessel
     values B0(h(l,0)) are supplied by the caller (the spherical series).
+
+    Each distinct unit integral is brute-forced once per call.  Its value
+    is a function of the exact key (p^k, r0) with {p^n * scale}_p = r0/p^k,
+    so a repeated key gets the very float its first sum gave; likewise a
+    Weyl coset's inner sum depends on eta only through the valuation v it
+    reduces to.  Nothing is kept between calls.
     """
     p = setup.p
     d, a_s = setup.disc, setup.a
     pe = p**e
     u = pi_choice
     prefactor = p ** (-2 * e + 2) / (p**2 + 1)
+    sums = {}                   # (p^k, r0) -> brute-forced unit integral
+    weights = {}                # n -> u^n q^{-n(s-1)}
+
+    def term(n: int, scale: Fraction) -> complex:
+        key = _unit_integral_key(p, n, scale)
+        integral = sums.get(key)
+        if integral is None:
+            integral = sums[key] = _unit_integral_sum(mu, *key)
+        weight = weights.get(n)
+        if weight is None:
+            weight = weights[n] = u**n * p ** (-n * (s - 1))
+        return weight * integral
 
     def bessel_value(l: int, m: int) -> complex:
         if l < 0:
@@ -665,11 +701,7 @@ def zeta_case2_3_cosets(
     f_id = p ** float(-2 * e + 2) / (p**2 - 1)
     acc = 0j
     for n in range(-e, -e + _COSET_WINDOW + 1):
-        coef = (
-            u**n
-            * p ** (-n * (s - 1))
-            * unit_psi_mu_integral(mu, n, Fraction(-d, 2))
-        )
+        coef = term(n, Fraction(-d, 2))
         if abs(coef) > _COSET_TOL:
             acc += coef * bessel_value(e + n, 0)
     z_phi = f_id * acc * prefactor
@@ -680,6 +712,7 @@ def zeta_case2_3_cosets(
     f_hat = (
         p ** (e * (2 * s - 3) + 2) / (p**2 - 1) * lam ** (-e) * w_l
     )
+    inner = {}                  # v -> the coset's sum over n
     z_hat = 0j
     for b2 in range(pe):
         for b3 in range(pe):
@@ -692,15 +725,16 @@ def zeta_case2_3_cosets(
                     for cand in (v + Fraction(pe * t),)
                     if ord_p(cand, p) == e
                 )
-            j = ord_p(v, p)
-            acc = 0j
-            for n in range(j - e - _COSET_WINDOW, j - e + _COSET_WINDOW + 1):
+            acc = inner.get(v)
+            if acc is None:
+                j = ord_p(v, p)
                 scale = Fraction(-(a_s**4) * d, 2) / v
-                coef = u**n * p ** (-n * (s - 1)) * unit_psi_mu_integral(
-                    mu, n, scale
-                )
-                if abs(coef) > _COSET_TOL:
-                    acc += coef * bessel_value(e + n - 2 * j, j)
+                acc = 0j
+                for n in range(j - e - _COSET_WINDOW, j - e + _COSET_WINDOW + 1):
+                    coef = term(n, scale)
+                    if abs(coef) > _COSET_TOL:
+                        acc += coef * bessel_value(e + n - 2 * j, j)
+                inner[v] = acc
             z_hat += f_hat * acc
     z_hat *= prefactor
     return z_phi, z_hat

@@ -1,7 +1,10 @@
 import cmath
 import math
 import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from besselzeta.padicring import (
     GaloisRing,
     MultChar,
     ResidueRing,
+    _p_adic_frac,
     factorize,
     gauss_sum_F,
     gauss_sum_L,
@@ -201,6 +205,14 @@ def test_galois_ring_frobenius_and_norm():
         assert g.trace(z) == (z[0] * 2) % 25
     with pytest.raises(ValueError):
         GaloisRing(5, 1, c=4)  # 4 = 2^2 is a square mod 5
+
+
+def test_galois_ring_rejects_bad_p_and_e():
+    for p, e, message in ((4, 1, "p must be an odd prime"),
+                          (9, 1, "p must be an odd prime"),
+                          (3, 0, "exponent e must be >= 1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaloisRing(p, e)
 
 
 def test_smith_2x2_pins():
@@ -536,3 +548,149 @@ def test_table_kernels_equal_per_term_sums(p, e):
             for n in range(-e - 3, -e + 4):
                 got = unit_psi_mu_integral(mu, n, scale)
                 assert got == _ref_unit_integral(mu, n, scale), (mu, n, scale)
+                assert got == _parent_unit_psi_mu_integral(mu, n, scale), (mu, n, scale)
+
+
+# the unit integral and the coset-sum oracle as they were before the oracle
+# brute-forced each distinct unit integral once per call, kept as written
+# (constants inlined); the oracle must give the same floats bit for bit
+
+
+def _parent_unit_psi_mu_integral(mu, n, scale=Fraction(1)):
+    ring = mu.ring
+    p, pe = ring.p, ring.modulus
+    scale = Fraction(scale)
+    v = n + ord_p(scale, p)
+    K = max(ring.e, -v, 1)
+    pK = p**K
+    pk, r0 = _p_adic_frac(Fraction(p) ** n * scale, p)
+    psi, values = ring._roots(pk), mu._values
+    total = 0j
+    for a in range(1, pK):
+        if a % p:
+            total += psi[r0 * a % pk] * values[a % pe]
+    return total / (pK - pK // p)
+
+
+def _parent_zeta_case2_3_cosets(setup, e, mu, pi_choice, s, bessel_diag, lam=1.0):
+    _COSET_WINDOW, _COSET_TOL = 3, 1e-12
+    p = setup.p
+    d, a_s = setup.disc, setup.a
+    pe = p**e
+    u = pi_choice
+    prefactor = p ** (-2 * e + 2) / (p**2 + 1)
+
+    def bessel_value(l: int, m: int) -> complex:
+        if l < 0:
+            return 0.0  # support condition
+        if m == 0:
+            return bessel_diag(l)
+        raise RuntimeError(
+            "needed a Bessel value off the diagonal; this cannot happen when "
+            "the unit integrals vanish where the lemma says they do"
+        )
+
+    f_id = p ** float(-2 * e + 2) / (p**2 - 1)
+    acc = 0j
+    for n in range(-e, -e + _COSET_WINDOW + 1):
+        coef = (
+            u**n
+            * p ** (-n * (s - 1))
+            * _parent_unit_psi_mu_integral(mu, n, Fraction(-d, 2))
+        )
+        if abs(coef) > _COSET_TOL:
+            acc += coef * bessel_value(e + n, 0)
+    z_phi = f_id * acc * prefactor
+
+    w_l = gauss_sum_L(mu, setup.galois_ring(e), pi_choice)
+    f_hat = (
+        p ** (e * (2 * s - 3) + 2) / (p**2 - 1) * lam ** (-e) * w_l
+    )
+    z_hat = 0j
+    for b2 in range(pe):
+        for b3 in range(pe):
+            v = Fraction(a_s**6 * d, 4) + setup.norm_basis(b2, b3)
+            if v == 0 or ord_p(v, p) > e:
+                v = next(
+                    cand
+                    for t in range(1, p + 1)
+                    for cand in (v + Fraction(pe * t),)
+                    if ord_p(cand, p) == e
+                )
+            j = ord_p(v, p)
+            acc = 0j
+            for n in range(j - e - _COSET_WINDOW, j - e + _COSET_WINDOW + 1):
+                scale = Fraction(-(a_s**4) * d, 2) / v
+                coef = u**n * p ** (-n * (s - 1)) * _parent_unit_psi_mu_integral(
+                    mu, n, scale
+                )
+                if abs(coef) > _COSET_TOL:
+                    acc += coef * bessel_value(e + n - 2 * j, j)
+            z_hat += f_hat * acc
+    z_hat *= prefactor
+    return z_phi, z_hat
+
+
+# S inert at p, as in the benchmark's coset set-ups, plus one deeper level
+ORACLE_SETUPS = (((1, 0, 1), 3, 1), ((1, 1, 1), 5, 1), ((1, 0, 1), 7, 1),
+                 ((1, 0, 1), 3, 2))
+
+
+def _diag_at(p):
+    rep = LocalRep.symbolic_trivial("I")
+    point = {"Q": math.sqrt(p), "A": cmath.exp(0.3j), "G": cmath.exp(0.9j)}
+    vals = diag_values_numeric(rep, point, 12)
+    return lambda l: vals[l]
+
+
+@pytest.mark.parametrize("abc,p,e", ORACLE_SETUPS, ids=("p3e1", "p5e1", "p7e1", "p3e2"))
+def test_coset_oracle_equals_parent_code(abc, p, e):
+    setup, diag = BesselSetup(*abc, p), _diag_at(p)
+    points = ((cmath.exp(0.4j), 0.3, 1.0), (cmath.exp(2.1j), 0.7 + 0.2j, 1.0),
+              (cmath.exp(-1.3j), 1.1 - 0.25j, cmath.exp(0.5j)))
+    for mu in MultChar.primitive_chars(ResidueRing(p, e))[:2]:
+        for u, s, lam in points:
+            got = zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
+            want = _parent_zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
+            assert got == want, (abc, p, e, mu, u, s)
+
+
+def test_coset_oracle_sums_each_key_once_per_call(monkeypatch):
+    """Over the benchmark's 24 coset inputs of seed 501, round 4, the
+    oracle brute-forces each distinct (p^k, r0) once per call."""
+    import besselzeta.padicring as pr
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    # record the key of every unit integral the parent oracle takes, and
+    # every sum the oracle under test makes
+    keys, summed = [], []
+    parent_unit, real_sum = _parent_unit_psi_mu_integral, pr._unit_integral_sum
+
+    def recording_unit(mu, n, scale=Fraction(1)):
+        p = mu.ring.p
+        keys.append(_p_adic_frac(Fraction(p) ** n * Fraction(scale), p))
+        return parent_unit(mu, n, scale)
+
+    def counting_sum(mu, pk, r0):
+        summed.append((pk, r0))
+        return real_sum(mu, pk, r0)
+
+    monkeypatch.setattr(sys.modules[__name__], "_parent_unit_psi_mu_integral", recording_unit)
+    monkeypatch.setattr(pr, "_unit_integral_sum", counting_sum)
+    diags = {}
+    n_parent_calls = n_keys = n_sums = 0
+    for p, abc, k, u, s in workloads.exhaustive_round(501, 4)["cosets"]:
+        setup, mu = BesselSetup(*abc, p), MultChar(ResidueRing(p, 1), k)
+        diag = diags.setdefault(p, _diag_at(p))
+        keys.clear()
+        summed.clear()
+        want = _parent_zeta_case2_3_cosets(setup, 1, mu, u, s, diag)
+        got = pr.zeta_case2_3_cosets(setup, 1, mu, u, s, diag)
+        assert got == want
+        assert sorted(summed) == sorted(set(keys)), (p, abc, k)
+        n_parent_calls += len(keys)
+        n_keys += len(set(keys))
+        n_sums += len(summed)
+    assert (n_parent_calls, n_keys, n_sums) == (4744, 1072, 1072)
