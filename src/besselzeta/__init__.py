@@ -6,11 +6,11 @@ The package is organized by layer:
 - ``symfield``: exact multivariate Laurent rational functions over Q,
   matrices over them, and the closed geometric series (I - X M)^{-1}.
 - ``localrep``: descriptors of the representation types I, IIb, IIIa, VIb
-  with their spinor/standard L-factors, local epsilon factors, and the
-  per-prime spectral correction factor.
+  with their spinor/standard L-factors and local epsilon factors.
 - ``localzeta``: Hecke and Atkin-Lehner matrices on the fixed space,
   Bessel basis values at the identity, the diagonal-value generating
-  series, the computed zeta-integral cases, and the local periods.
+  series, the computed zeta-integral cases, the local periods, and the
+  per-prime spectral correction factor.
 - ``padicring``: residue rings Z/p^e and the quadratic Galois ring,
   characters and Gauss sums, the Smith normal form, and the ramified
   coset-sum computations.
@@ -48,7 +48,6 @@ from .localrep import (
     local_epsilon,
     spinor_lfactor,
     std_lfactor,
-    t_factor,
 )
 from .localzeta import (
     HeckePair,
@@ -59,6 +58,7 @@ from .localzeta import (
     local_period,
     local_period_closed,
     recursion_consistency,
+    t_factor,
     zeta_case1,
     zeta_case4,
     zeta_case4_series,

@@ -16,8 +16,10 @@ Galois conjugation acts by b -> -b and coincides with inversion.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .padicring import is_squarefree, smith_normal_form
 
@@ -117,6 +119,12 @@ def is_fundamental(d: int) -> bool:
     return False
 
 
+def unit_count(d: int) -> int:
+    """Number of units of the order of discriminant d < 0: 6 for d = -3,
+    4 for d = -4, else 2."""
+    return {-3: 6, -4: 4}.get(d, 2)
+
+
 def reduced_forms(d: int):
     """All reduced primitive forms of discriminant d < 0, sorted.
 
@@ -170,11 +178,10 @@ def compose_forms(f: QuadForm, g: QuadForm) -> QuadForm:
     a1 = f.a
     g2 = _equivalent_with_coprime_lead(g, a1)
     a2 = g2.a
-    # solve B = b1 mod 2 a1, B = b2 mod 2 a2  (b1, b2 share the parity of D)
+    # solve B = b1 mod 2 a1, B = b2 mod 2 a2: a1, a2 are coprime and b1, b2
+    # share the parity of D, so B = b1 + a1 (a1^-1 mod a2) (b2 - b1)
     b1, b2 = f.b, g2.b
-    gcd_, x, _ = _xgcd(2 * a1, 2 * a2)
-    assert (b2 - b1) % gcd_ == 0
-    bb = (b1 + 2 * a1 * x * ((b2 - b1) // gcd_)) % (4 * a1 * a2 // gcd_)
+    bb = (b1 + a1 * pow(a1, -1, a2) * (b2 - b1)) % (2 * a1 * a2)
     assert (bb - b1) % (2 * a1) == 0 and (bb - b2) % (2 * a2) == 0
     cc_num = bb * bb - f.disc
     assert cc_num % (4 * a1 * a2) == 0
@@ -189,23 +196,12 @@ def _equivalent_with_coprime_lead(g: QuadForm, n: int) -> QuadForm:
             if math.gcd(x, y) != 1:
                 continue
             if math.gcd(g.value(x, y), n) == 1:
-                gcd_, s, t = _xgcd(x, y)
+                if y == 0:  # then x = 1
+                    return g
                 # complete (x, y) to [[x, -t], [y, s]] of determinant 1
-                m = ((x, -t), (y, s))
-                return g.transform(m)
+                s = pow(x, -1, y)
+                return g.transform(((x, -((1 - x * s) // y)), (y, s)))
     raise RuntimeError("no coprime representation found; form not primitive?")
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 class ClassGroup:
@@ -243,8 +239,7 @@ class ClassGroup:
 
     @property
     def w(self) -> int:
-        """Number of units of the order: 6 for D=-3, 4 for D=-4, else 2."""
-        return {-3: 6, -4: 4}.get(self.D, 2)
+        return unit_count(self.D)
 
     def index(self, f: QuadForm) -> int:
         g = f if f.is_reduced() else reduce_form(f)[0]
@@ -310,8 +305,6 @@ class ClassGroup:
         orders = [self._order_of(g) for g in gens]
         # relation lattice: diag(orders) plus every relation inside the
         # fundamental box (these generate the full kernel of Z^k -> G)
-        import itertools
-
         relations = [[orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
         for vec in itertools.product(*[range(o) for o in orders]):
             if not any(vec):
@@ -373,8 +366,6 @@ class ClassChar:
 
     def value_fraction(self, f: QuadForm):
         """The value as a rational multiple of a full turn."""
-        from fractions import Fraction
-
         coords = self.group.coords(f)
         total = Fraction(0)
         for e, x, d in zip(self.exponents, coords, self.group._char_orders):
@@ -409,9 +400,10 @@ def bessel_coeff_sum(group: ClassGroup, coeffs, chi: ClassChar) -> complex:
     ``coeffs`` maps each reduced representative to a value; a missing
     class is an error.
     """
+    inv = chi.inverse()
     total = 0j
     for f in group.classes:
         if f not in coeffs:
             raise ValueError(f"no coefficient assigned to the class of {f}")
-        total += complex(coeffs[f]) * chi.inverse()(f)
+        total += complex(coeffs[f]) * inv(f)
     return total

@@ -24,7 +24,8 @@ from . import globalasm as ga
 from . import localzeta as lz
 from . import padicring as pr
 from . import suites
-from .localrep import LocalRep, TwistData, shift_half, spinor_lfactor, std_lfactor
+from .localrep import (REP_TAGS, SATAKE_SLOTS, SPHERICAL_TAGS, LocalRep, TwistData,
+                       shift_half, spinor_lfactor, std_lfactor)
 from .symfield import RatFunc, rf_var
 
 SCHEMA = "1"
@@ -53,18 +54,16 @@ def _emit(doc: dict) -> None:
 def _twist(args) -> TwistData:
     # symbolic mode keeps mu(pi) formal; Lambda(pi) stays a rational value
     # because the series/closed-form identities hold at Lambda(pi) = 1
-    u = rf_var("U") if getattr(args, "symbolic", False) else RatFunc.const(
-        Fraction(getattr(args, "u", "1"))
-    )
-    lam = RatFunc.const(Fraction(getattr(args, "lam", "1")))
+    u = rf_var("U") if args.symbolic else RatFunc.const(Fraction(args.u))
+    lam = RatFunc.const(Fraction(args.lam))
     return TwistData(u=u, lam=lam)
 
 
 def _rep(args, trivial: bool = True) -> LocalRep:
-    if getattr(args, "symbolic", False):
+    if args.symbolic:
         return LocalRep.symbolic_trivial(args.type) if trivial \
             else LocalRep.symbolic(args.type)
-    slots = {"I": 3, "IIb": 2, "IIIa": 2, "VIb": 1}[args.type]
+    slots = len(SATAKE_SLOTS[args.type])
     values = [Fraction(v) for v in (args.satake.split(",") if args.satake else [])]
     if not values:
         values = [Fraction(1)] * slots
@@ -104,7 +103,7 @@ def cmd_lfactor(args) -> int:
         "unitarity": "not checked; unit-circle convention is the caller's",
         "spinor": spinor_lfactor(rep, TwistData(u=tw.u)).to_text(),
     }
-    if args.type in ("I", "IIb"):
+    if args.type in SPHERICAL_TAGS:
         doc["standard"] = std_lfactor(rep).to_text()
     _emit(doc)
     return 0
@@ -350,25 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.set_defaults(func=cmd_verify)
 
-    for name, fn in (("lfactor", cmd_lfactor), ("period", cmd_period)):
+    for name, fn in (("lfactor", cmd_lfactor), ("period", cmd_period),
+                     ("zeta-local", cmd_zeta_local)):
         p = sub.add_parser(name)
-        p.add_argument("--type", required=True, choices=("I", "IIb", "IIIa", "VIb"))
+        p.add_argument("--type", required=True, choices=REP_TAGS)
         p.add_argument("--symbolic", action="store_true",
                        help="symbolic Satake parameters (trivial central character)")
         p.add_argument("--satake", help="comma-separated rational Satake values")
         p.add_argument("--u", default="1", help="rational twist value mu(pi)")
         p.add_argument("--lam", default="1", help="rational value Lambda(pi)")
+        if name == "zeta-local":
+            p.add_argument("--case", required=True, choices=("1", "4", "5", "6"))
+            p.add_argument("--index", type=int, default=0)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("zeta-local")
-    p.add_argument("--case", required=True, choices=("1", "4", "5", "6"))
-    p.add_argument("--type", required=True, choices=("I", "IIb", "IIIa", "VIb"))
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--satake")
-    p.add_argument("--u", default="1")
-    p.add_argument("--lam", default="1")
-    p.set_defaults(func=cmd_zeta_local)
 
     p = sub.add_parser("gauss")
     p.add_argument("--p", type=int, required=True)

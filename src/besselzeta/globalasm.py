@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import mpmath
 
+from .classgroup import is_fundamental, unit_count
 from .localrep import spinor_lfactor
-from .padicring import MultChar, ResidueRing, factorize, gauss_sum_F, is_squarefree
+from .padicring import (MultChar, ResidueRing, factorize, gauss_sum_F,
+                        is_squarefree, legendre)
 
 _TWO_PI = 2 * math.pi
 
@@ -181,10 +183,9 @@ class DirichletChar:
     def quadratic(modulus: int) -> "DirichletChar":
         """The real character that is the Legendre symbol at each prime
         factor (modulus odd squarefree)."""
-        facs = factorize(modulus)
-        if any(k != 1 for _, k in facs):
+        if not is_squarefree(modulus):
             raise ValueError("quadratic character needs a squarefree modulus")
-        return DirichletChar(modulus, tuple((p - 1) // 2 for p, _ in facs))
+        return DirichletChar(modulus, tuple((p - 1) // 2 for p, _ in factorize(modulus)))
 
     def __call__(self, a: int) -> complex:
         a = int(a)
@@ -241,10 +242,7 @@ def kronecker_at_prime(d: int, p: int) -> int:
         if d % 2 == 0:
             return 0
         return 1 if d % 8 in (1, 7) else -1
-    r = pow(d % p, (p - 1) // 2, p)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
+    return legendre(d, p)
 
 
 @dataclass(frozen=True)
@@ -263,8 +261,6 @@ class GlobalParams:
     S: tuple = ()
 
     def __post_init__(self):
-        from .classgroup import is_fundamental
-
         if not is_fundamental(self.D):
             raise ValueError("D must be a fundamental discriminant < 0")
         if self.N < 1 or not is_squarefree(self.N):
@@ -288,14 +284,14 @@ class GlobalParams:
 
     @property
     def w(self) -> int:
-        return {-3: 6, -4: 4}.get(self.D, 2)
+        return unit_count(self.D)
 
 
 def siegel_index(n: int) -> int:
     """[K_f : K_0(N)] = prod over p | N of p^3 (1 + p^-1)(1 + p^-2)."""
     out = 1
     for p, _ in factorize(n):
-        out *= (p**2 + 1) * (p + 1) * p**0  # p^3(1+1/p)(1+1/p^2)
+        out *= (p**2 + 1) * (p + 1)  # p^3(1+1/p)(1+1/p^2)
     return out
 
 
@@ -315,7 +311,7 @@ def global_epsilon(s: complex, gp: GlobalParams, n_pi: int) -> complex:
     root = g / math.sqrt(gp.M) if gp.M > 1 else 1.0
     return (
         (-1) ** gp.l2
-        * gp.chi(n_pi**2 % gp.M if gp.M > 1 else 1)
+        * gp.chi(n_pi**2)
         * root**4
         * (gp.M**4 * n_pi**2) ** (0.5 - s)
     )
@@ -342,10 +338,10 @@ def average_prefactor(s: complex, gp: GlobalParams, v_norm: float = 1.0) -> comp
         gp.M ** (s - 6)
         * zeta_partial(gp.M, 1)
         * zeta_partial(gp.M, 4)
-        * gp.chi(2 * gp.D % gp.M if gp.M > 1 else 1)
+        * gp.chi(2 * gp.D)
         * gp.chi.gauss_sum()
     )
-    n_part = gp.N ** (s - 1) * gp.chi.inverse()(gp.N % gp.M if gp.M > 1 else 1)
+    n_part = gp.N ** (s - 1) * gp.chi.inverse()(gp.N)
     for p, _ in factorize(gp.N):
         n_part /= 1 + p**-2
     return lead * m_part * n_part * v_norm**2
@@ -388,7 +384,7 @@ def partial_spinor_L(s: complex, data, gp: GlobalParams) -> complex:
     """
     total = arch_lfactor(s, gp.l1, gp.l2)
     for p, rep in data:
-        u = gp.chi(p % gp.M if gp.M > 1 else 1)
+        u = gp.chi(p)
         if u == 0:
             raise ValueError(f"prime {p} divides the twist conductor")
         point = {"Q": math.sqrt(p), "T": u * p ** (-s)}

@@ -4,8 +4,7 @@ A representation is specified by its type tag (I, IIb, IIIa, VIb) together
 with the Satake parameters present for that type.  Attached to each
 descriptor are its closed-form invariants: the degree-4 spinor L-factor
 (optionally twisted by an unramified character), the degree-5 standard
-L-factor, the local epsilon factors of the computed cases, and the
-per-prime correction factor entering the spectral average.
+L-factor, and the local epsilon factors of the computed cases.
 
 Satake parameters are RatFuncs, so symbolic (rf_var('A'), ...) and exact
 numeric rational specializations are handled uniformly.  Unitarity of the
@@ -15,14 +14,15 @@ get the conjugation convention alpha -> alpha**-1 downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .symfield import RF_ONE, RatFunc, rf_var
 
 REP_TAGS = ("I", "IIb", "IIIa", "VIb")
+# the types with a K-fixed vector: cases 1 and 4, the standard L-factor
+SPHERICAL_TAGS = ("I", "IIb")
 
-_SATAKE_SLOTS = {
+SATAKE_SLOTS = {
     "I": ("alpha", "beta", "gamma"),
     "IIb": ("alpha", "gamma"),
     "IIIa": ("alpha", "gamma"),
@@ -42,7 +42,7 @@ class LocalRep:
     def __post_init__(self):
         if self.tag not in REP_TAGS:
             raise ValueError(f"unknown representation type {self.tag!r}")
-        slots = _SATAKE_SLOTS[self.tag]
+        slots = SATAKE_SLOTS[self.tag]
         if len(self.satake) != len(slots):
             raise ValueError(
                 f"type {self.tag} takes parameters {slots}, got {len(self.satake)}"
@@ -54,7 +54,7 @@ class LocalRep:
     @staticmethod
     def symbolic(tag: str) -> "LocalRep":
         """Generic symbolic parameters A, B, G for the slots of the type."""
-        slots = _SATAKE_SLOTS[tag]
+        slots = SATAKE_SLOTS[tag]
         return LocalRep(tag, tuple(rf_var(_SYMBOL_FOR_SLOT[s]) for s in slots))
 
     @staticmethod
@@ -80,7 +80,7 @@ class LocalRep:
         raise ValueError(f"unknown representation type {tag!r}")
 
     def param(self, slot: str) -> RatFunc:
-        slots = _SATAKE_SLOTS[self.tag]
+        slots = SATAKE_SLOTS[self.tag]
         if slot not in slots:
             raise ValueError(f"type {self.tag} has no parameter {slot!r}")
         return self.satake[slots.index(slot)]
@@ -237,7 +237,7 @@ def local_epsilon(
         raise ValueError(f"unknown epsilon case {case_tag!r}")
     Q, T, U = rf_var("Q"), rf_var("T"), rf_var("U")
     if case_tag == "old_I_IIb":
-        if rep.tag not in ("I", "IIb") or not twist.unramified:
+        if rep.tag not in SPHERICAL_TAGS or not twist.unramified:
             raise ValueError("old-form case needs type I/IIb and unramified twist")
         return RF_ONE
     if case_tag in ("IIIa", "VIb"):
@@ -247,41 +247,9 @@ def local_epsilon(
         # mu(pi)^2 q^{2(1/2-s)}
         return twist.u**2 * Q**2 * T**2
     # ramified spherical: q^{4e(1/2-s)} Lambda(pi)^{-e} mu(-a^-2 d) conj(W_F^4)
-    if rep.tag not in ("I", "IIb") or twist.e <= 0:
+    if rep.tag not in SPHERICAL_TAGS or twist.e <= 0:
         raise ValueError("ramified case needs type I/IIb and conductor e > 0")
     e = twist.e
     W = rf_var("W")
     return Q ** (4 * e) * T ** (4 * e) * twist.lam ** (-e) * mu_unit * W**4
 
-
-def t_factor(rep: LocalRep, twist: TwistData, p) -> complex:
-    """Per-prime correction of the spectral average.
-
-    1 for VIb, 2 for IIIa; for the spherical types
-    2(p-1) p^-5 L(1, pi, Std) {1 + mu(p)^2 - mu(p)/(p+1) tr(p^-1 T_{1,0} + eta)}
-    with the trace taken on the K_0(p)-fixed space.
-    """
-    if not twist.unramified:
-        raise ValueError("t-factor needs an unramified twist")
-    if rep.tag == "VIb":
-        return 1
-    if rep.tag == "IIIa":
-        return 2
-    from . import localzeta  # circular at module level, fine at call time
-    from fractions import Fraction
-
-    p_exact = Fraction(p)
-    pf = float(p_exact)
-    point = {"Q": math.sqrt(pf)}
-    pair = localzeta.hecke_matrices(rep)
-    tr = (pair.t10.scale(RatFunc.const(1 / p_exact)) + pair.eta).trace()
-    # Satake parameters are folded into the matrices; only Q remains free
-    tr_val = tr.evaluate(point)
-    u = twist.u.evaluate(point) if twist.u.variables() else complex(
-        twist.u.const_value()
-    )
-    lstd = std_lfactor(rep).evaluate({"T": 1.0 / pf, "Q": math.sqrt(pf)})
-    val = 2 * (pf - 1) * pf**-5 * lstd * (1 + u**2 - u / (pf + 1) * tr_val)
-    if abs(val.imag) < 1e-15 * max(1.0, abs(val.real)):
-        return val.real
-    return val

@@ -4,7 +4,8 @@ Implements the Hecke/Atkin-Lehner action on the K_0(p)-fixed space (the
 representation matrices for the old-form types and the eigen-data of the
 newform types), the Bessel basis values at the identity, the generating
 series of diagonal Bessel values, the closed forms of the computed
-zeta-integral cases, and the local periods.
+zeta-integral cases, the local periods, and the per-prime correction
+factor entering the spectral average.
 
 Variable conventions (see symfield): Q = q^{1/2}, T = q^{-s}, A/B/G the
 Satake parameters, U = mu(pi), L = Lambda(pi).  The geometric-series
@@ -25,10 +26,13 @@ coordinate vector of B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .localrep import (
+    SPHERICAL_TAGS,
     LocalRep,
     TwistData,
     UNRAMIFIED,
@@ -100,6 +104,11 @@ def hecke_matrices(rep: LocalRep) -> HeckePair:
     return HeckePair(t10, eta)
 
 
+def _hecke_trace(pair: HeckePair, q_inv: RatFunc) -> RatFunc:
+    """tr(q^-1 T_{1,0} + eta), with q^-1 given in the caller's exact form."""
+    return (pair.t10.scale(q_inv) + pair.eta).trace()
+
+
 def bessel_identity_values(rep: LocalRep) -> tuple:
     """Basis values B_i(1_4), one per K_0(p)-fixed basis element.
 
@@ -169,7 +178,7 @@ def diag_series(rep: LocalRep, x) -> RatFunc:
     B0 is the normalized K-fixed Bessel function, which is the sum of the
     K_0(p)-fixed basis.  Needs types I/IIb with trivial central character.
     """
-    if rep.tag not in ("I", "IIb"):
+    if rep.tag not in SPHERICAL_TAGS:
         raise ValueError("diagonal Bessel series needs a spherical type")
     _require_trivial_cc(rep, "diag_series")
     return _diag_series(rep, x)
@@ -236,8 +245,8 @@ def _column(m: RatMatrix, j: int) -> list:
 
 # the types of each case, and the subject of their error messages
 _CASES = {
-    "1": (("I", "IIb"), "case 1 needs"),
-    "4": (("I", "IIb"), "case 4 needs"),
+    "1": (SPHERICAL_TAGS, "case 1 needs"),
+    "4": (SPHERICAL_TAGS, "case 4 needs"),
     "5/6": (("IIIa", "VIb"), "cases 5/6 need"),
 }
 
@@ -265,13 +274,13 @@ def _over_l(rep: LocalRep, twist: TwistData, case: str | None = None) -> tuple:
     """Z(phi, B_i, s, mu; eta) / L(s+1/2, pi, mu) for each basis vector B_i:
     case 4 for the old-form types I/IIb, cases 5/6 for IIIa/VIb.  ``case``
     is the case asked for; by default it is the case of the type."""
-    old = rep.tag in ("I", "IIb")
+    old = rep.tag in SPHERICAL_TAGS
     _check_case_args(rep, twist, case or ("4" if old else "5/6"))
     qs1 = _T.inv() * _Q**2  # q^{s+1}
     if old:
         pair = hecke_matrices(rep)
         b = bessel_identity_values(rep)
-        tr = (pair.t10.scale(_Q**-2) + pair.eta).trace()
+        tr = _hecke_trace(pair, _Q**-2)
         coeff = twist.u.inv() * qs1 + twist.u * (_T * _Q**2) - tr
         return tuple(
             (_dot(b, _column(pair.eta, i)) + _Q**-2 * _dot(b, _column(pair.t10, i))
@@ -355,9 +364,8 @@ def local_period_closed(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc
     """The closed forms of the three local periods."""
     q = _Q**2
     qs1, qms1 = _T.inv() * q, _T * q
-    if rep.tag in ("I", "IIb"):
-        pair = hecke_matrices(rep)
-        tr = (pair.t10 + pair.eta.scale(q)).trace()
+    if rep.tag in SPHERICAL_TAGS:
+        tr = q * _hecke_trace(hecke_matrices(rep), _Q**-2)  # tr(T_{1,0} + q eta)
         lstd1 = std_lfactor(rep).subst({"T": _Q**-2})  # L(1, pi, Std)
         lead = 2 * (q - 1) / (q**5 * (q**2 + 1))
         return lead * lstd1 * (twist.u.inv() * qs1 + twist.u * qms1 - tr / (q + 1))
@@ -404,3 +412,32 @@ def recursion_consistency(rep: LocalRep) -> dict:
         "b2_at_kappa": b2_at_lambda,
         "matches_alpha_inverse": b2_at_lambda == a.inv(),
     }
+
+
+def t_factor(rep: LocalRep, twist: TwistData, p) -> complex:
+    """Per-prime correction of the spectral average.
+
+    1 for VIb, 2 for IIIa; for the spherical types
+    2(p-1) p^-5 L(1, pi, Std) {1 + mu(p)^2 - mu(p)/(p+1) tr(p^-1 T_{1,0} + eta)}
+    with the trace taken on the K_0(p)-fixed space.
+    """
+    if not twist.unramified:
+        raise ValueError("t-factor needs an unramified twist")
+    if rep.tag == "VIb":
+        return 1
+    if rep.tag == "IIIa":
+        return 2
+    p_exact = Fraction(p)
+    pf = float(p_exact)
+    point = {"Q": math.sqrt(pf)}
+    tr = _hecke_trace(hecke_matrices(rep), RatFunc.const(1 / p_exact))
+    # Satake parameters are folded into the matrices; only Q remains free
+    tr_val = tr.evaluate(point)
+    u = twist.u.evaluate(point) if twist.u.variables() else complex(
+        twist.u.const_value()
+    )
+    lstd = std_lfactor(rep).evaluate({"T": 1.0 / pf, "Q": math.sqrt(pf)})
+    val = 2 * (pf - 1) * pf**-5 * lstd * (1 + u**2 - u / (pf + 1) * tr_val)
+    if abs(val.imag) < 1e-15 * max(1.0, abs(val.real)):
+        return val.real
+    return val

@@ -57,6 +57,19 @@ def is_odd_prime(p: int) -> bool:
     return p > 2 and factorize(p) == ((p, 1),)
 
 
+def _check_odd_prime_power(p: int, e: int):
+    if not is_odd_prime(p):
+        raise ValueError("p must be an odd prime")
+    if e < 1:
+        raise ValueError("exponent e must be >= 1")
+
+
+def legendre(a: int, p: int) -> int:
+    """The Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def ord_p(x: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     x = Fraction(x)
@@ -86,10 +99,7 @@ class ResidueRing:
     """Z/p^e for an odd prime p, with its cyclic unit group tabulated."""
 
     def __init__(self, p: int, e: int):
-        if not is_odd_prime(p):
-            raise ValueError("p must be an odd prime")
-        if e < 1:
-            raise ValueError("exponent e must be >= 1")
+        _check_odd_prime_power(p, e)
         self.p = p
         self.e = e
         self.modulus = p**e
@@ -215,18 +225,13 @@ class GaloisRing:
     """GR(p^e, 2) = Z/p^e [x]/(x^2 - c), c a non-residue mod p."""
 
     def __init__(self, p: int, e: int, c: int | None = None):
-        if not is_odd_prime(p):
-            raise ValueError("p must be an odd prime")
-        if e < 1:
-            raise ValueError("exponent e must be >= 1")
+        _check_odd_prime_power(p, e)
         self.p, self.e = p, e
         self.modulus = p**e
         if c is None:
-            c = next(
-                x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1
-            )
+            c = next(x for x in range(2, p) if legendre(x, p) == -1)
         c %= self.modulus
-        if pow(c % p, (p - 1) // 2, p) != p - 1:
+        if legendre(c, p) != -1:
             raise ValueError("c must reduce to a quadratic non-residue mod p")
         self.c = c
 
@@ -527,7 +532,7 @@ class BesselSetup:
     @property
     def is_inert(self) -> bool:
         """True when d is a non-square mod p, i.e. L/F is an unramified field."""
-        return pow(self.disc % self.p, (self.p - 1) // 2, self.p) == self.p - 1
+        return legendre(self.disc, self.p) == -1
 
     def norm_basis(self, b2: int, b3: int) -> int:
         """N(eta) for eta = b2*a + b3*theta0 in the o-basis {a, theta0}."""
@@ -588,10 +593,7 @@ def y_eta_check(setup: BesselSetup, b2: int, b3: int, e: int) -> dict:
         }
     j_raw = ord_p(v, p)
     # clear denominators by a p-unit and take the integer Smith form
-    mult = 1
-    for row in y:
-        for entry in row:
-            mult = mult * entry.denominator // math.gcd(mult, entry.denominator)
+    mult = math.lcm(*(entry.denominator for row in y for entry in row))
     if mult % p == 0:
         raise RuntimeError("denominator not prime to p; setup violated")
     m_int = [[int(entry * mult) for entry in row] for row in y]

@@ -13,6 +13,7 @@ independent oracle inside the suite.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import random
@@ -22,7 +23,7 @@ from . import classgroup as cg
 from . import globalasm as ga
 from . import localzeta as lz
 from . import padicring as pr
-from .localrep import LocalRep, TwistData, UNRAMIFIED, shift_half, spinor_lfactor, t_factor
+from .localrep import LocalRep, TwistData, UNRAMIFIED, shift_half, spinor_lfactor
 from .symfield import RF_ONE, RatFunc, rf_var
 
 DEFAULT_SEED = 831
@@ -468,8 +469,8 @@ def suite_tfactor() -> dict:
     """Spectral-average correction factor pins."""
     seed = _seed()
     cases = []
-    v6 = t_factor(LocalRep.symbolic_trivial("VIb"), UNRAMIFIED, 3)
-    v3 = t_factor(LocalRep.symbolic("IIIa"), UNRAMIFIED, 3)
+    v6 = lz.t_factor(LocalRep.symbolic_trivial("VIb"), UNRAMIFIED, 3)
+    v3 = lz.t_factor(LocalRep.symbolic("IIIa"), UNRAMIFIED, 3)
     cases.append(_case("t-VIb", "type VIb", "1", str(v6), v6 == 1, "PAPER"))
     cases.append(_case("t-IIIa", "type IIIa", "2", str(v3), v3 == 2, "PAPER"))
     cases.append(
@@ -477,7 +478,7 @@ def suite_tfactor() -> dict:
             "t-sum", "VIb + IIIa", "3", str(v6 + v3), v6 + v3 == 3, "TRIVIAL"
         )
     )
-    got = t_factor(LocalRep("I", (1, 1, 1)), UNRAMIFIED, 3)
+    got = lz.t_factor(LocalRep("I", (1, 1, 1)), UNRAMIFIED, 3)
     # independent evaluation: tr T_{1,0} = 4 q^{3/2}, tr eta = 0 at q = 3
     q = 3.0
     lstd = (1 - 1 / q) ** -5
@@ -514,7 +515,6 @@ def suite_global_eps() -> dict:
                 "PAPER",
             )
         )
-    import itertools
 
     for m in (5, 7, 9, 11, 13):
         facs = pr.factorize(m)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from besselzeta import classgroup
 from besselzeta.classgroup import (
     ClassChar,
     ClassGroup,
@@ -306,3 +307,87 @@ def test_structure_labels():
     assert grp.h == 4
     assert grp.structure_label() == "C2 x C2"
     assert len(ClassChar.all_chars(grp)) == 4
+
+
+# The composition code before `_xgcd` was replaced by pow(., -1, .), kept
+# verbatim: the reduced output must not depend on which inverse is used.
+def _xgcd(a: int, b: int):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _parent_compose_forms(f: QuadForm, g: QuadForm) -> QuadForm:
+    if f.disc != g.disc:
+        raise ValueError("cannot compose forms of different discriminants")
+    if not (f.is_primitive() and g.is_primitive()):
+        raise ValueError("composition needs primitive forms")
+    a1 = f.a
+    g2 = _parent_equivalent_with_coprime_lead(g, a1)
+    a2 = g2.a
+    # solve B = b1 mod 2 a1, B = b2 mod 2 a2  (b1, b2 share the parity of D)
+    b1, b2 = f.b, g2.b
+    gcd_, x, _ = _xgcd(2 * a1, 2 * a2)
+    assert (b2 - b1) % gcd_ == 0
+    bb = (b1 + 2 * a1 * x * ((b2 - b1) // gcd_)) % (4 * a1 * a2 // gcd_)
+    assert (bb - b1) % (2 * a1) == 0 and (bb - b2) % (2 * a2) == 0
+    cc_num = bb * bb - f.disc
+    assert cc_num % (4 * a1 * a2) == 0
+    composed = QuadForm(a1 * a2, bb, cc_num // (4 * a1 * a2))
+    return reduce_form(composed)[0]
+
+
+def _parent_equivalent_with_coprime_lead(g: QuadForm, n: int) -> QuadForm:
+    for x in range(1, 4 * max(n, 2) + 2):
+        for y in range(0, 4 * max(n, 2) + 2):
+            if math.gcd(x, y) != 1:
+                continue
+            if math.gcd(g.value(x, y), n) == 1:
+                gcd_, s, t = _xgcd(x, y)
+                # complete (x, y) to [[x, -t], [y, s]] of determinant 1
+                m = ((x, -t), (y, s))
+                return g.transform(m)
+    raise RuntimeError("no coprime representation found; form not primitive?")
+
+
+FUNDAMENTAL_TO_400 = [d for d in range(-400, -2) if is_fundamental(d)]
+
+
+def test_composition_equals_xgcd_version():
+    for d in FUNDAMENTAL_TO_400:
+        forms = reduced_forms(d)
+        for f, g in itertools.product(forms, repeat=2):
+            assert compose_forms(f, g) == _parent_compose_forms(f, g), (f, g)
+
+
+def test_class_group_equals_xgcd_version(monkeypatch):
+    new = {d: ClassGroup(d) for d in FUNDAMENTAL_TO_400}
+    monkeypatch.setattr(classgroup, "compose_forms", _parent_compose_forms)
+    for d, grp in new.items():
+        old = ClassGroup(d)
+        assert grp.table == old.table and grp.identity == old.identity, d
+        assert grp.invariants == old.invariants, d
+        assert [grp.coords(f) for f in grp.classes] == [old.coords(f) for f in old.classes], d
+
+
+def test_bessel_coeff_sum_equals_per_class_inverse():
+    def per_class(group, coeffs, chi):
+        total = 0j
+        for f in group.classes:
+            if f not in coeffs:
+                raise ValueError(f"no coefficient assigned to the class of {f}")
+            total += complex(coeffs[f]) * chi.inverse()(f)
+        return total
+
+    rng = random.Random(13)
+    for d in (-23, -47):
+        grp = ClassGroup(d)
+        coeffs = {f: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for f in grp.classes}
+        for chi in ClassChar.all_chars(grp):
+            assert bessel_coeff_sum(grp, coeffs, chi) == per_class(grp, coeffs, chi)

@@ -117,6 +117,16 @@ def test_dirichlet_char_basics():
         DirichletChar(6, (0,))
 
 
+def test_char_value_is_periodic_exactly():
+    for m in (1, 15, 17, 45):
+        orders = [p ** (k - 1) * (p - 1) for p, k in factorize(m)]
+        every = list(itertools.product(*(range(n) for n in orders)))
+        for ks in every[:: max(1, len(every) // 4)]:
+            chi = DirichletChar(m, ks)
+            for x in range(-3 * m, 3 * m + 1):
+                assert chi(x) == chi(x % m), (m, ks, x)
+
+
 def test_is_even_matches_value_at_minus_one():
     for M in range(1, 151, 2):
         orders = [p ** (k - 1) * (p - 1) for p, k in factorize(M)]

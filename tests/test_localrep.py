@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +13,8 @@ from besselzeta.localrep import (
     local_epsilon,
     spinor_lfactor,
     std_lfactor,
-    t_factor,
 )
+from besselzeta.localzeta import t_factor
 from besselzeta.symfield import RF_ONE, RatFunc, parse_ratfunc, rf_var
 
 U_TWIST = TwistData(u=rf_var("U"))
@@ -159,3 +161,21 @@ def test_conjugation_map():
     assert LocalRep("I", (1, -1, 1)).conjugation_map() == {}
     with pytest.raises(ValueError):
         LocalRep("I", (Fraction(1, 2), 1, 1)).conjugation_map()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "besselzeta"
+
+
+def test_imports_only_at_module_level():
+    """No module imports inside a function or class, and localrep, which
+    localzeta builds on, imports nothing from localzeta."""
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert nested == []
+    tree = ast.parse((SRC / "localrep.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and "localzeta" in [node.module] + [a.name for a in node.names]]

@@ -22,6 +22,7 @@ from besselzeta.padicring import (
     gauss_sum_lemma_value,
     is_odd_prime,
     is_squarefree,
+    legendre,
     norm_char_sum,
     ord_p,
     psi_frac,
@@ -213,6 +214,17 @@ def test_galois_ring_rejects_bad_p_and_e():
                           (3, 0, "exponent e must be >= 1")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GaloisRing(p, e)
+
+
+def test_legendre_against_quadratic_residue_scan():
+    for p in range(3, 60):
+        if not is_odd_prime(p):
+            continue
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(p):
+            want = 0 if a == 0 else 1 if a in squares else -1
+            assert legendre(a, p) == want, (a, p)
+            assert legendre(a - 3 * p, p) == want, (a, p)
 
 
 def test_smith_2x2_pins():
