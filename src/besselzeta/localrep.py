@@ -54,7 +54,7 @@ class LocalRep:
     @staticmethod
     def symbolic(tag: str) -> "LocalRep":
         """Generic symbolic parameters A, B, G for the slots of the type."""
-        slots = SATAKE_SLOTS[tag]
+        slots = SATAKE_SLOTS.get(tag, ())  # an unknown tag fails in LocalRep
         return LocalRep(tag, tuple(rf_var(_SYMBOL_FOR_SLOT[s]) for s in slots))
 
     @staticmethod

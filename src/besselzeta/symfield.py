@@ -24,13 +24,21 @@ denominator.  Rational functions are kept fully canonical: numerator and
 denominator are integer-primitive polynomials with no common factor, no
 common monomial, and the denominator has positive leading coefficient in
 the fixed monomial order.  Equality of canonical forms is therefore
-structural.  Multivariate polynomial gcd is delegated to sympy's sparse
-polynomial rings over ZZ; all other arithmetic is self-contained.  Since
-every operand is canonical, the arithmetic asks for no gcd where it is 1 by
-construction: x + 0, x * 1 and x * 0 return at once, and negation, inverse,
-integer powers, and a sum, difference, product or quotient with a monomial
-over a monomial (a unit of the Laurent ring, constants included) skip the
-gcd step (see _canonicalize).
+structural.
+
+Sums, products and quotients follow Henrici's algorithm (Knuth, TAOCP
+vol. 2, 4.5.1): since every operand is canonical, a/b + c/d takes
+gcd(b, d) and, only when that is not a monomial, one more gcd of the new
+numerator with it; (a/b)(c/d) takes gcd(a, d) and gcd(c, b).  These are
+gcds of the operands, never of their products.  x + 0, x * 1 and x * 0
+return at once, and negation, inverse and integer powers take no gcd.  The
+one place that calls sympy is _gcd_cofactors, which hands a pair of
+polynomials that both have two or more terms, and differ, to the
+``cofactors`` of sympy's sparse polynomial rings over ZZ; it serves these
+operations and the general constructor RatFunc(num, den) alike.  All other
+arithmetic is self-contained.  Results keep the term order that one gcd of
+the full products gave (see _canonicalize), so evaluate() returns the same
+floats.
 
 All values are immutable after construction and safe to share.
 """
@@ -235,7 +243,7 @@ def poly_text(poly: LaurentPoly) -> str:
 
 @lru_cache(maxsize=None)
 def _ring_for(names: tuple):
-    return _sympy_ring(list(names), ZZ) if names else None
+    return _sympy_ring(list(names), ZZ)[0]
 
 
 def _to_sympy(poly: LaurentPoly, names: tuple, R):
@@ -254,16 +262,28 @@ def _from_sympy(elem, names: tuple) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _poly_gcd_reduce(num: LaurentPoly, den: LaurentPoly):
-    """Divide out the polynomial gcd of two integer Laurent-free polys."""
-    names = tuple(sorted(set(num.variables()) | set(den.variables())))
-    if not names:
-        return num, den
-    R = _ring_for(names)[0]
-    g, a, b = _to_sympy(num, names, R).cofactors(_to_sympy(den, names, R))
-    if g == R.one:
-        return num, den
-    return _from_sympy(a, names), _from_sympy(b, names)
+def _gcd_cofactors(x: LaurentPoly, y: LaurentPoly):
+    """(g, x/g, y/g) for a gcd g of two nonzero polynomials.
+
+    g is exact up to a monomial times an integer, a factor that the
+    monomial shift and content steps of _canonicalize remove.  So when x or
+    y is one term the answer is (1, x, y), and when x == y it is (x, 1, 1),
+    both without sympy.  Otherwise sympy's cofactors decide: a gcd of one
+    term returns (1, x, y) with x and y themselves, and any other gcd
+    returns all three in sympy's terms() order, descending lex (the order
+    contract of _canonicalize).  Exponents must be nonnegative, as in
+    every canonical numerator and denominator.
+    """
+    if x.is_monomial() or y.is_monomial():
+        return _ONE, x, y
+    if x == y:
+        return x, _ONE, _ONE
+    names = tuple(sorted(set(x.variables()) | set(y.variables())))
+    R = _ring_for(names)
+    g, a, b = _to_sympy(x, names, R).cofactors(_to_sympy(y, names, R))
+    if len(g) == 1:
+        return _ONE, x, y
+    return _from_sympy(g, names), _from_sympy(a, names), _from_sympy(b, names)
 
 
 class RatFunc:
@@ -275,15 +295,18 @@ class RatFunc:
     Two RatFuncs are equal iff they are the same function.
 
     ``_coprime=True`` is the arithmetic's private promise that num and den
-    have no common polynomial factor, so the gcd is skipped.
+    have no common polynomial factor, so the gcd is skipped.  ``_lex=True``
+    adds that a non-monomial common factor was already divided out, so the
+    terms are stored in descending lex order (see _canonicalize).
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE, *, _coprime=False):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE, *, _coprime=False,
+                 _lex=False):
         if den.is_zero:
             raise ZeroDivisionError("RatFunc with zero denominator")
-        num, den = _canonicalize(num, den, _coprime)
+        num, den = _canonicalize(num, den, _coprime, _lex)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
@@ -325,10 +348,6 @@ class RatFunc:
     def variables(self) -> tuple:
         return tuple(sorted(set(self.num.variables()) | set(self.den.variables())))
 
-    def _is_unit(self) -> bool:
-        """A monomial over a monomial: a unit of the Laurent ring."""
-        return self.num.is_monomial() and self.den.is_monomial()
-
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "RatFunc":
         other = RatFunc.coerce(other)
@@ -336,8 +355,16 @@ class RatFunc:
             return self
         if self.is_zero:
             return other
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den,
-                       _coprime=self._is_unit() or other._is_unit())
+        # Henrici: h = gcd(b, d), then one gcd of the new numerator with h
+        a, b, c, d = self.num, self.den, other.num, other.den
+        h, b_h, d_h = _gcd_cofactors(b, d)
+        if h.is_monomial():
+            return RatFunc(a * d + c * b, b * d, _coprime=True)
+        num = a * d_h + c * b_h
+        if num.is_zero:
+            return RF_ZERO
+        _, num, h_rest = _gcd_cofactors(num, h)
+        return RatFunc(num, b_h * d_h * h_rest, _coprime=True, _lex=True)
 
     __radd__ = __add__
 
@@ -358,8 +385,7 @@ class RatFunc:
             return self
         if self == RF_ONE:
             return other
-        return RatFunc(self.num * other.num, self.den * other.den,
-                       _coprime=self._is_unit() or other._is_unit())
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -367,8 +393,9 @@ class RatFunc:
         other = RatFunc.coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division of RatFunc by zero")
-        return RatFunc(self.num * other.den, self.den * other.num,
-                       _coprime=self._is_unit() or other._is_unit())
+        if self.is_zero:
+            return RF_ZERO
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other) -> "RatFunc":
         return RatFunc.coerce(other) / self
@@ -431,19 +458,38 @@ class RatFunc:
         return f"RatFunc({self.to_text()!r})"
 
 
-def _canonicalize(num: LaurentPoly, den: LaurentPoly, coprime: bool = False):
-    """Canonical form of num/den; ``coprime`` skips the polynomial gcd.
+def _canonicalize(num: LaurentPoly, den: LaurentPoly, coprime: bool = False,
+                  lex: bool = False):
+    """Canonical form of num/den; ``coprime`` skips the polynomial gcd, and
+    ``lex`` stores the terms in descending lex order.
 
-    The caller may pass coprime=True only where the gcd is 1 by
-    construction.  With canonical operands f = a/b and g = c/d that holds
-    for -f, 1/f and f**k (gcd(a, b) = 1 gives gcd(a^k, b^k) = 1), and for
-    f + g, f - g, f * g and f / g whenever one operand, say g, is a
-    monomial over a monomial: c and d are then units of the Laurent ring,
-    so gcd(a*d + c*b, b*d) = gcd(a*d, b) = gcd(a, b) = 1, and likewise
-    gcd(a*c, b*d) = gcd(a*d, b*c) = 1.  After the monomial shift and the
-    content step the integer polynomial gcd is then exactly 1, and a gcd of
-    1 leaves num and den untouched, so skipping it changes no term and no
-    term order.
+    Term order.  evaluate() sums the terms in stored order, so the order is
+    part of what a result is.  The rule: the terms keep their construction
+    order when no non-monomial common factor is divided out, and are in
+    descending lex order (sympy's terms() order, that of its cofactors)
+    when one is.  The monomial shift, the content step and the sign step
+    keep the order.
+
+    The arithmetic on canonical f = a/b and g = c/d builds its result from
+    smaller gcds (Henrici; Knuth, TAOCP vol. 2, 4.5.1) and must divide out
+    a non-monomial factor in exactly the cases where the gcd of the full
+    products would.  Here "monomial" allows an integer factor.
+    - f + g: let h = gcd(b, d).  If h is a monomial, a non-monomial prime
+      p of b*d that divides a*d + c*b divides b, say; then p divides a*d
+      and not a, so it divides d and h, which is impossible.  So
+      gcd(a*d + c*b, b*d) is 1 and (a*d + c*b, b*d) is built as it reads,
+      with coprime=True.  Otherwise h divides a*d + c*b, and h^2 divides
+      b*d, so the full gcd is not a monomial; the result
+      t/gcd(t, h) over (b/h)(d/h)(h/gcd(t, h)), with
+      t = a(d/h) + c(b/h), is reduced and is stored with lex=True.
+    - f * g: gcd(a*c, b*d) = gcd(a, d) gcd(c, b), since gcd(a, b) and
+      gcd(c, d) are 1.  If both factors are monomials, (a*c, b*d) is built
+      as it reads; otherwise the cofactors' product is stored with
+      lex=True.  f / g is f * (d/c).
+    - -f, 1/f and f**k keep gcd 1 (gcd(a^k, b^k) = 1), as coprime=True.
+    With coprime=True the shift and content steps leave an integer
+    polynomial gcd of exactly 1, and a gcd of 1 leaves num and den
+    untouched, so skipping it changes no term and no term order.
     """
     if num.is_zero:
         return _ZERO, _ONE
@@ -466,14 +512,25 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly, coprime: bool = False):
         num = LaurentPoly({m: c // content for m, c in num.terms.items()})
         den = LaurentPoly({m: c // content for m, c in den.terms.items()})
     # polynomial gcd; monomials carry none after the shift and content steps
-    if not (coprime or num.is_monomial() or den.is_monomial()):
-        num, den = _poly_gcd_reduce(num, den)
+    if not coprime:
+        _, num, den = _gcd_cofactors(num, den)
     # positive leading coefficient of the denominator
     names = den.variables()
     lead = max(den.terms, key=lambda m: _mono_key(m, names))
     if den.terms[lead] < 0:
         num, den = -num, -den
+    if lex:
+        num, den = (LaurentPoly(dict(_sorted_terms(p))) for p in (num, den))
     return num, den
+
+
+def _product(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) -> RatFunc:
+    """(a/b) * (c/d) for gcd(a, b) = gcd(c, d) = 1, by Henrici: the gcds
+    of a with d and of c with b, never of the products."""
+    g1, a, d = _gcd_cofactors(a, d)
+    g2, c, b = _gcd_cofactors(c, b)
+    return RatFunc(a * c, b * d, _coprime=True,
+                   _lex=not (g1.is_monomial() and g2.is_monomial()))
 
 
 def _poly_subst(poly: LaurentPoly, bind: Mapping[str, RatFunc]) -> RatFunc:

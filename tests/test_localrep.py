@@ -153,6 +153,18 @@ def test_rep_validation():
         LocalRep.symbolic("VIb").param("alpha")
 
 
+@pytest.mark.parametrize("make", [
+    lambda tag: LocalRep(tag, (1,)),
+    LocalRep.symbolic,
+    LocalRep.symbolic_trivial,
+])
+def test_unknown_tag_is_one_value_error(make):
+    with pytest.raises(ValueError) as err:
+        make("X")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "unknown representation type 'X'"
+
+
 def test_conjugation_map():
     rep = LocalRep.symbolic_trivial("I")
     sub = rep.conjugation_map()

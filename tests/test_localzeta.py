@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from besselzeta import localzeta as lz
-from besselzeta import suites
+from besselzeta import suites, symfield
 from besselzeta.localrep import (
     LocalRep,
     TwistData,
@@ -321,6 +321,29 @@ def test_series_memo_solves_each_system_once(monkeypatch):
     monkeypatch.setattr(RatMatrix, "solve", counted)
     suites.suite_case4()
     assert calls == [4, 3]
+
+
+def test_symbolic_suites_keep_gcd_inputs_small(monkeypatch):
+    # Henrici's arithmetic asks sympy for gcds of the operands, never of
+    # the products: the three symbolic suites send it 4,232 terms, 123 at
+    # most in one call, where one gcd of the full products sent 11,020 and
+    # 498.  Only calls that reach sympy count: one-term or equal operands
+    # are answered without it.
+    lz._series_linear_forms.cache_clear()
+    gcd_cofactors = symfield._gcd_cofactors
+    sizes = []
+
+    def counted(x, y):
+        if not (x.is_monomial() or y.is_monomial() or x == y):
+            sizes.append(len(x.terms) + len(y.terms))
+        return gcd_cofactors(x, y)
+
+    monkeypatch.setattr(symfield, "_gcd_cofactors", counted)
+    suites.suite_case1()
+    suites.suite_case4()
+    suites.suite_case56_periods()
+    assert sum(sizes) <= 5500
+    assert max(sizes) <= 150
 
 
 def _count_calls(monkeypatch, modules, name):

@@ -16,9 +16,13 @@ from besselzeta.symfield import (
     RatFunc,
     _ONE,
     _ZERO,
+    _from_sympy,
+    _gcd_cofactors,
     _int_gcd,
     _mono_key,
-    _poly_gcd_reduce,
+    _ring_for,
+    _sorted_terms,
+    _to_sympy,
     parse_ratfunc,
     rf_var,
 )
@@ -76,6 +80,20 @@ def _old_min_exponents(poly):
         name: min(dict(mono).get(name, 0) for mono in poly.terms)
         for name in poly.variables()
     }
+
+
+def _poly_gcd_reduce(num, den):
+    """The reference reduction: one sympy cofactors of the whole pair,
+    giving cofactors in sympy's terms() order when the gcd is nontrivial
+    and the inputs themselves when it is 1."""
+    names = tuple(sorted(set(num.variables()) | set(den.variables())))
+    if not names:
+        return num, den
+    R = _ring_for(names)
+    g, a, b = _to_sympy(num, names, R).cofactors(_to_sympy(den, names, R))
+    if g == R.one:
+        return num, den
+    return _from_sympy(a, names), _from_sympy(b, names)
 
 
 def _full(num, den):
@@ -173,6 +191,68 @@ def test_general_arithmetic_matches_full_canonicalization(f, g):
     _same_terms(f * g, _mul(fp, gp))
     if not g.is_zero:
         _same_terms(f / g, _div(fp, gp))
+
+
+# -- Henrici's smaller gcds, where the operands share a planted factor ------
+
+# h has at least two terms, so it is never a unit of the Laurent ring
+factors = st.builds(lambda m1, m2: m1 + m2, monomials, monomials).filter(
+    lambda h: len(h.num.terms) > 1)
+
+
+@PROPS
+@given(polys, polys, polys, polys, polys, factors)
+def test_planted_common_factors_match_full_canonicalization(a, b, c, d, e, h):
+    if b.is_zero or d.is_zero:
+        return
+    cases = [
+        (a / (h * b), c / (h * d)),              # h in both denominators
+        (a / h, c / h),                          # equal denominators
+        (a / (h * b), (e * h - a * d) / (h * b * d)),  # the sum's t shares h
+        ((a * h) / b, c / (d * h)),              # h in a numerator and a den
+    ]
+    for f, g in cases:
+        fp, gp = (f.num, f.den), (g.num, g.den)
+        _same_terms(f + g, _add(fp, gp))
+        _same_terms(f - g, _add(fp, _neg(gp)))
+        _same_terms(f * g, _mul(fp, gp))
+        if not g.is_zero:
+            _same_terms(f / g, _div(fp, gp))
+        if not f.is_zero:
+            _same_terms(g / f, _div(gp, fp))
+
+
+polynomials = st.dictionaries(
+    st.dictionaries(st.sampled_from(BUILTIN_VARS), st.integers(1, 3),
+                    max_size=3).map(lambda d: tuple(sorted(d.items()))),
+    st.integers(-9, 9).filter(bool),
+    min_size=1, max_size=4,
+).map(LaurentPoly)
+
+
+@PROPS
+@given(polynomials, polynomials, polynomials.filter(lambda h: len(h.terms) > 1))
+def test_gcd_cofactors_nontrivial_path_is_lex_ordered(p, q, h):
+    # pins the sympy behaviour that the lex=True constructions reproduce:
+    # a nontrivial gcd comes back with every term in descending lex order
+    x, y = h * p, h * q
+    if x == y or x.is_monomial() or y.is_monomial():
+        return
+    g, x_g, y_g = _gcd_cofactors(x, y)
+    assert g * x_g == x and g * y_g == y
+    assert len(g.terms) > 1
+    for poly in (g, x_g, y_g):
+        assert list(poly.terms.items()) == _sorted_terms(poly)
+
+
+@PROPS
+@given(polynomials, polynomials)
+def test_gcd_cofactors_shortcuts_return_the_operands(x, y):
+    g, x_g, y_g = _gcd_cofactors(x, y)
+    if len(g.terms) == 1:
+        assert (g, x_g, y_g) == (_ONE, x, y)
+        assert x_g is x and y_g is y
+    assert _gcd_cofactors(x, x) == ((_ONE, x, x) if x.is_monomial() else (x, _ONE, _ONE))
 
 
 laurent_polys = st.dictionaries(
