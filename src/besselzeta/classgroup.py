@@ -363,17 +363,24 @@ class ClassChar:
         self.exponents = tuple(
             e % d for e, d in zip(exponents, group._char_orders)
         )
+        # the value is exp(2 pi i n / L), n = sum e x (L / d) mod L, with L
+        # the lcm of the orders; n / L is the correctly rounded float of
+        # the rational n/L that value_fraction returns
+        self._turn = math.lcm(*group._char_orders)
+        self._weights = tuple(
+            e * (self._turn // d) for e, d in zip(self.exponents, group._char_orders)
+        )
+
+    def _turns(self, f: QuadForm) -> int:
+        """n with value exp(2 pi i n / L), 0 <= n < L."""
+        return sum(w * x for w, x in zip(self._weights, self.group.coords(f))) % self._turn
 
     def value_fraction(self, f: QuadForm):
         """The value as a rational multiple of a full turn."""
-        coords = self.group.coords(f)
-        total = Fraction(0)
-        for e, x, d in zip(self.exponents, coords, self.group._char_orders):
-            total += Fraction(e * x, d)
-        return total % 1
+        return Fraction(self._turns(f), self._turn)
 
     def __call__(self, f: QuadForm) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.value_fraction(f)))
+        return cmath.exp(2j * cmath.pi * (self._turns(f) / self._turn))
 
     def inverse(self) -> "ClassChar":
         return ClassChar(self.group, tuple(-e for e in self.exponents))

@@ -31,14 +31,20 @@ vol. 2, 4.5.1): since every operand is canonical, a/b + c/d takes
 gcd(b, d) and, only when that is not a monomial, one more gcd of the new
 numerator with it; (a/b)(c/d) takes gcd(a, d) and gcd(c, b).  These are
 gcds of the operands, never of their products.  x + 0, x * 1 and x * 0
-return at once, and negation, inverse and integer powers take no gcd.  The
-one place that calls sympy is _gcd_cofactors, which hands a pair of
-polynomials that both have two or more terms, and differ, to the
-``cofactors`` of sympy's sparse polynomial rings over ZZ; it serves these
-operations and the general constructor RatFunc(num, den) alike.  All other
-arithmetic is self-contained.  Results keep the term order that one gcd of
-the full products gave (see _canonicalize), so evaluate() returns the same
-floats.
+return at once, and negation, inverse and integer powers take no gcd.
+subst brings every substituted term over one common denominator and
+reduces once.  The one place that calls sympy is _gcd_cofactors, which
+serves these operations and the general constructor RatFunc(num, den)
+alike.  A pair of polynomials that both have two or more terms, and
+differ, first meets Brown's modular coprimality proof (_provably_coprime):
+images mod the prime 2^61 - 1 at one fixed point prove most gcds to be a
+monomial times an integer, exactly when sympy's gcd would have one term.
+Only the pairs it cannot settle go to the ``cofactors`` of sympy's sparse
+polynomial rings over ZZ.  All other arithmetic is self-contained.
+Results of + - * / keep the term order that one gcd of the full products
+gave (see _canonicalize), so evaluate() returns the same floats.  The
+package evaluates no value built from a subst result, so the term order
+of those is free.
 
 All values are immutable after construction and safe to share.
 """
@@ -246,10 +252,16 @@ def _ring_for(names: tuple):
     return _sympy_ring(list(names), ZZ)[0]
 
 
-def _to_sympy(poly: LaurentPoly, names: tuple, R):
-    return R.from_dict(
-        {_mono_key(mono, names): coeff for mono, coeff in poly.terms.items()}
-    )
+def _exponent_vectors(poly: LaurentPoly, names: tuple) -> dict:
+    """poly as {exponent tuple over names: coefficient}, sympy's from_dict form."""
+    index = {name: i for i, name in enumerate(names)}
+    out = {}
+    for mono, coeff in poly.terms.items():
+        exps = [0] * len(names)
+        for name, e in mono:
+            exps[index[name]] = e
+        out[tuple(exps)] = coeff
+    return out
 
 
 def _from_sympy(elem, names: tuple) -> LaurentPoly:
@@ -262,25 +274,110 @@ def _from_sympy(elem, names: tuple) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+# Brown's coprimality proof works in F_P at one fixed point.
+_P = 2**61 - 1
+
+
+def _point(i: int) -> int:
+    """The fixed value mod _P of the i-th variable (in sorted name order)."""
+    return pow(0x9E3779B97F4A7C15, i + 1, _P)
+
+
+def _rem_mod_p(f: list, g: list) -> list:
+    """f mod g in F_P[t], coefficients from the top degree down; g[0] != 0."""
+    f = list(f)
+    inv = pow(g[0], -1, _P)
+    while len(f) >= len(g):
+        q = f[0] * inv % _P
+        if q:
+            for i in range(1, len(g)):
+                f[i] = (f[i] - q * g[i]) % _P
+        f.pop(0)
+    while f and not f[0]:
+        f.pop(0)
+    return f
+
+
+def _provably_coprime(xv: dict, yv: dict) -> bool:
+    """Whether the gcd of two polynomials, given as exponent vectors over the
+    same names, is a monomial times an integer, by Brown's modular proof
+    (J. ACM 18, 1971).  False means only that no proof was found.
+
+    Let x', y' be x, y with their own monomial content divided out, and g
+    their gcd over Z.  Take a variable v of positive degree in both.  Fix
+    every other variable at _point mod _P; if the top coefficient in v of
+    x' and of y' stays nonzero, then so does that of g, because lc_v(g)
+    divides lc_v(x').  So g's image has degree deg_v g and divides both
+    images, and a constant univariate gcd of the images forces
+    deg_v g = 0.  A variable missing from x' or y' is missing from g.  When
+    every shared variable passes, g is an integer, and gcd(x, y) is a
+    monomial times an integer.  An unlucky point loses a degree or finds a
+    spurious common root; both answer False, never a wrong True.
+    """
+    k = len(next(iter(xv)))
+    point = [_point(i) for i in range(k)]
+    # each term with its value at the whole point
+    sides = []
+    for vecs in (xv, yv):
+        terms = []
+        for exps, c in vecs.items():
+            for a, e in zip(point, exps):
+                if e:
+                    c = c * pow(a, e, _P) % _P
+            terms.append((exps, c))
+        sides.append(terms)
+    for v in range(k):
+        spans = [(min(exps[v] for exps, _ in terms), max(exps[v] for exps, _ in terms))
+                 for terms in sides]
+        if any(lo == hi for lo, hi in spans):
+            continue
+        # the images in v of x' and y', from the top degree down: dividing
+        # each term's value by v's own power leaves the other variables fixed
+        inv = pow(point[v], -1, _P)
+        images = []
+        for terms, (lo, hi) in zip(sides, spans):
+            coeffs = [0] * (hi - lo + 1)
+            for exps, c in terms:
+                coeffs[hi - exps[v]] += c * pow(inv, exps[v], _P)
+            coeffs = [c % _P for c in coeffs]
+            if not coeffs[0]:
+                return False
+            images.append(coeffs)
+        f, g = images
+        while g:
+            f, g = g, _rem_mod_p(f, g)
+        if len(f) > 1:
+            return False
+    return True
+
+
 def _gcd_cofactors(x: LaurentPoly, y: LaurentPoly):
     """(g, x/g, y/g) for a gcd g of two nonzero polynomials.
 
     g is exact up to a monomial times an integer, a factor that the
     monomial shift and content steps of _canonicalize remove.  So when x or
     y is one term the answer is (1, x, y), and when x == y it is (x, 1, 1),
-    both without sympy.  Otherwise sympy's cofactors decide: a gcd of one
+    both without sympy.  Otherwise _provably_coprime tries to prove that
+    the gcd is a monomial times an integer, and on a proof answers
+    (1, x, y), with x and y themselves, without sympy.  Only then do
+    sympy's cofactors decide, from the same exponent vectors: a gcd of one
     term returns (1, x, y) with x and y themselves, and any other gcd
     returns all three in sympy's terms() order, descending lex (the order
-    contract of _canonicalize).  Exponents must be nonnegative, as in
-    every canonical numerator and denominator.
+    contract of _canonicalize).  Since sympy's gcd has one term exactly
+    when the gcd is a monomial times an integer, the proof changes no
+    answer.  Exponents must be nonnegative, as in every canonical
+    numerator and denominator.
     """
     if x.is_monomial() or y.is_monomial():
         return _ONE, x, y
     if x == y:
         return x, _ONE, _ONE
     names = tuple(sorted(set(x.variables()) | set(y.variables())))
+    xv, yv = _exponent_vectors(x, names), _exponent_vectors(y, names)
+    if _provably_coprime(xv, yv):
+        return _ONE, x, y
     R = _ring_for(names)
-    g, a, b = _to_sympy(x, names, R).cofactors(_to_sympy(y, names, R))
+    g, a, b = R.from_dict(xv).cofactors(R.from_dict(yv))
     if len(g) == 1:
         return _ONE, x, y
     return _from_sympy(g, names), _from_sympy(a, names), _from_sympy(b, names)
@@ -429,15 +526,42 @@ class RatFunc:
     def subst(self, bindings: Mapping[str, "RatFunc"]) -> "RatFunc":
         """Substitute variables by rational functions, exactly.
 
-        Raises ZeroDivisionError if the denominator vanishes identically
-        under the binding.
+        Let each bound x have the value n_x/d_x and largest exponent E_x in
+        num or den (canonical exponents are >= 0).  Multiplying num and den
+        by prod d_x^E_x turns both into polynomials, each term c*m becoming
+        c * prod n_x^e_x d_x^(E_x - e_x) times m's unbound variables, and
+        the quotient is reduced once.  Raises ZeroDivisionError if the
+        denominator vanishes identically under the binding.
         """
         bind = {k: RatFunc.coerce(v) for k, v in bindings.items()}
-        num = _poly_subst(self.num, bind)
-        den = _poly_subst(self.den, bind)
+        top = {}
+        for poly in (self.num, self.den):
+            for mono in poly.terms:
+                for name, e in mono:
+                    if name in bind and e > top.get(name, 0):
+                        top[name] = e
+        factors = {}  # (x, e) -> n_x^e * d_x^(E_x - e)
+
+        def image(poly: LaurentPoly) -> LaurentPoly:
+            out = {}
+            for mono, coeff in poly.terms.items():
+                exps = dict(mono)
+                term = LaurentPoly({tuple((n, e) for n, e in mono if n not in top): coeff})
+                for name, top_e in top.items():
+                    e = exps.get(name, 0)
+                    f = factors.get((name, e))
+                    if f is None:
+                        value = bind[name]
+                        f = factors[name, e] = value.num**e * value.den**(top_e - e)
+                    term = term * f
+                for m, c in term.terms.items():
+                    out[m] = out.get(m, 0) + c
+            return LaurentPoly(out)
+
+        num, den = image(self.num), image(self.den)
         if den.is_zero:
             raise ZeroDivisionError("denominator vanishes under substitution")
-        return num / den
+        return RatFunc(num, den)
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every variable must be bound."""
@@ -531,20 +655,6 @@ def _product(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) -> 
     g2, c, b = _gcd_cofactors(c, b)
     return RatFunc(a * c, b * d, _coprime=True,
                    _lex=not (g1.is_monomial() and g2.is_monomial()))
-
-
-def _poly_subst(poly: LaurentPoly, bind: Mapping[str, RatFunc]) -> RatFunc:
-    total = RF_ZERO
-    for mono, coeff in poly.terms.items():
-        term = RatFunc.const(coeff)
-        for name, e in mono:
-            base = bind.get(name)
-            if base is None:
-                term = term * RatFunc.var(name, e)
-            else:
-                term = term * base**e
-        total = total + term
-    return total
 
 
 def _poly_eval(poly: LaurentPoly, values: Mapping[str, complex]):

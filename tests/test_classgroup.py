@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -244,6 +245,30 @@ def test_characters_count_and_orthogonality():
                 s = sum(c(f1) * c(f2).conjugate() for c in chars)
                 want = grp.h if f1 == f2 else 0
                 assert abs(s - want) < 1e-12
+
+
+def _fraction_turn(chi, f):
+    # the sum of e x / d over Fractions, reduced mod 1: the value of chi(f)
+    # as a fraction of a full turn, computed without the lcm of the orders
+    total = Fraction(0)
+    for e, x, d in zip(chi.exponents, chi.group.coords(f), chi.group._char_orders):
+        total += Fraction(e * x, d)
+    return total % 1
+
+
+def test_char_values_match_the_fraction_sum():
+    # the integer route n / L gives the Fraction sum exactly and its float
+    # bit for bit, on every class of every accepted D in [-400, -3]
+    for d in range(-400, -2):
+        try:
+            grp = ClassGroup(d)
+        except ValueError:
+            continue
+        for chi in ClassChar.all_chars(grp):
+            for f in grp.classes:
+                want = _fraction_turn(chi, f)
+                assert chi.value_fraction(f) == want
+                assert chi(f) == cmath.exp(2j * cmath.pi * float(want))
 
 
 def test_char_conjugate_is_inverse():

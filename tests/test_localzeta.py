@@ -1,8 +1,10 @@
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -324,11 +326,12 @@ def test_series_memo_solves_each_system_once(monkeypatch):
 
 
 def test_symbolic_suites_keep_gcd_inputs_small(monkeypatch):
-    # Henrici's arithmetic asks sympy for gcds of the operands, never of
-    # the products: the three symbolic suites send it 4,232 terms, 123 at
-    # most in one call, where one gcd of the full products sent 11,020 and
-    # 498.  Only calls that reach sympy count: one-term or equal operands
-    # are answered without it.
+    # Henrici's arithmetic takes gcds of the operands, never of the
+    # products: the three symbolic suites ask for gcds of 4,232 terms, 123
+    # at most in one call, where one gcd of the full products took 11,020
+    # and 498.  Only calls past the shortcuts count (one-term or equal
+    # operands); the coprimality proof then settles most of them, so sympy
+    # sees 2,194 of these terms.
     lz._series_linear_forms.cache_clear()
     gcd_cofactors = symfield._gcd_cofactors
     sizes = []
@@ -344,6 +347,111 @@ def test_symbolic_suites_keep_gcd_inputs_small(monkeypatch):
     suites.suite_case56_periods()
     assert sum(sizes) <= 5500
     assert max(sizes) <= 150
+
+
+def test_symbolic_suites_call_sympy_rarely(monkeypatch):
+    # Brown's coprimality proof answers most gcds before sympy is asked:
+    # the three symbolic suites make 96 cofactors calls, 287 without it
+    from sympy.polys.rings import PolyElement
+
+    lz._series_linear_forms.cache_clear()
+    cofactors = PolyElement.cofactors
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return cofactors(self, other)
+
+    monkeypatch.setattr(PolyElement, "cofactors", counted)
+    suites.suite_case1()
+    suites.suite_case4()
+    suites.suite_case56_periods()
+    assert len(calls) <= 100
+
+
+# -- a homomorphic audit of the symbolic arithmetic -------------------------
+
+_P = 2**61 - 1
+
+
+def _at(f: RatFunc, point) -> int:
+    """f mod _P at point (a name -> residue mapping); ZeroDivisionError when
+    the denominator vanishes there."""
+    def poly(p):
+        total = 0
+        for mono, c in p.terms.items():
+            for name, e in mono:
+                c = c * pow(point[name], e, _P)
+            total += c
+        return total % _P
+
+    den = poly(f.den)
+    if not den:
+        raise ZeroDivisionError
+    return poly(f.num) * pow(den, -1, _P) % _P
+
+
+def _audited(name, op, expect, rng, log):
+    """op wrapped so that each result is compared with expect(at, *args),
+    the operation done on the operands' values at a random point mod _P
+    (at(f) is f's value there); a point where a denominator vanishes is
+    drawn again."""
+    def wrapper(*args):
+        out = op(*args)
+        for _ in range(20):
+            point = defaultdict(lambda: rng.randrange(1, _P))
+            value = lambda f: _at(RatFunc.coerce(f), point)  # noqa: E731
+            try:
+                got, want = value(out), expect(value, *args)
+            except ZeroDivisionError:
+                continue
+            assert got == want, f"{name} of {[_text(a) for a in args]}"
+            log.append(name)
+            return out
+        raise AssertionError(f"no point off the poles for {name}")
+    return wrapper
+
+
+def _text(arg):
+    if isinstance(arg, dict):
+        return {k: _text(v) for k, v in arg.items()}
+    return RatFunc.coerce(arg).to_text()[:200]
+
+
+def _inverse(v):
+    if not v:
+        raise ZeroDivisionError
+    return pow(v, -1, _P)
+
+
+_AUDITED = {
+    "__add__": lambda at, f, g: (at(f) + at(g)) % _P,
+    "__sub__": lambda at, f, g: (at(f) - at(g)) % _P,
+    "__mul__": lambda at, f, g: at(f) * at(g) % _P,
+    "__truediv__": lambda at, f, g: at(f) * _inverse(at(g)) % _P,
+    "__radd__": lambda at, f, g: (at(g) + at(f)) % _P,
+    "__rsub__": lambda at, f, g: (at(g) - at(f)) % _P,
+    "__rmul__": lambda at, f, g: at(g) * at(f) % _P,
+    "__rtruediv__": lambda at, f, g: at(g) * _inverse(at(f)) % _P,
+    # f(x -> b_x) at the point is f at the point that gives x the value b_x
+    "subst": lambda at, f, b: _at(f, {n: at(b[n]) if n in b else at(rf_var(n))
+                                      for n in f.variables()}),
+}
+
+
+def test_symbolic_arithmetic_passes_a_homomorphic_audit(monkeypatch):
+    # every RatFunc + - * / and subst of the three symbolic suites is mapped
+    # to F_p at a random point: a wrong result escapes with probability at
+    # most deg/p (Schwartz 1980, Zippel 1979)
+    lz._series_linear_forms.cache_clear()
+    rng, log = random.Random(1980), []
+    for name, expect in _AUDITED.items():
+        monkeypatch.setattr(RatFunc, name,
+                            _audited(name, getattr(RatFunc, name), expect, rng, log))
+    reports = [suites.suite_case1(), suites.suite_case4(), suites.suite_case56_periods()]
+    assert all(r["ok"] for r in reports)
+    assert len(log) >= 1500
+    assert {"__add__", "__sub__", "__mul__", "__truediv__", "subst"} <= set(log)
 
 
 def _count_calls(monkeypatch, modules, name):

@@ -2,13 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy.polys.rings import PolyElement
 
 from besselzeta.symfield import (
+    BUILTIN_VARS,
     RF_ONE,
     RF_ZERO,
     LaurentPoly,
     RatFunc,
     RatMatrix,
+    _ONE,
+    _P,
+    _exponent_vectors,
+    _from_sympy,
+    _gcd_cofactors,
+    _point,
+    _provably_coprime,
+    _ring_for,
     geom_resolvent,
     parse_ratfunc,
     poly_text,
@@ -241,3 +251,149 @@ def test_laurent_negative_power_of_polynomial_raises():
     p = LaurentPoly.var("T") + LaurentPoly.const(1)
     with pytest.raises(ValueError):
         p ** -1
+
+
+# -- Brown's coprimality proof in front of sympy's cofactors ----------------
+
+def _sympy_cofactors(x, y):
+    """The sympy route of _gcd_cofactors, with no proof in front of it."""
+    names = tuple(sorted(set(x.variables()) | set(y.variables())))
+    R = _ring_for(names)
+    g, a, b = R.from_dict(_exponent_vectors(x, names)).cofactors(
+        R.from_dict(_exponent_vectors(y, names)))
+    if len(g) == 1:
+        return _ONE, x, y
+    return _from_sympy(g, names), _from_sympy(a, names), _from_sympy(b, names)
+
+
+def _random_poly(rng, names, terms, top=3):
+    return LaurentPoly({
+        tuple((n, e) for n in names if (e := rng.randint(0, top))): rng.choice(
+            [c for c in range(-9, 10) if c])
+        for _ in range(terms)
+    })
+
+
+def test_coprimality_proof_agrees_with_sympy():
+    # whenever the proof answers, sympy's gcd has one term; on the draws
+    # that sympy finds coprime, the proof answers nearly always
+    rng = random.Random(1971)
+    coprime = proved = draws = 0
+    while draws < 1200:
+        names = rng.sample(BUILTIN_VARS, rng.randint(1, 5))
+        x = _random_poly(rng, names, rng.randint(2, 5))
+        y = _random_poly(rng, names, rng.randint(2, 5))
+        kind = draws % 4
+        if kind == 1:  # a planted factor of two or more terms
+            h = _random_poly(rng, names, rng.randint(2, 3), top=2)
+            x, y = x * h, y * h
+        elif kind == 2:  # planted monomial factors, partly shared
+            x = x.mono_shift(tuple((n, rng.randint(1, 2)) for n in names[:2]))
+            y = y.mono_shift(tuple((n, rng.randint(1, 2)) for n in names[-2:]))
+        elif kind == 3:  # both
+            h = _random_poly(rng, names, 2, top=2)
+            x, y = (x * h).mono_shift(((names[0], 1),)), y * h
+        if x.is_monomial() or y.is_monomial() or x == y:
+            continue
+        draws += 1
+        ref = _sympy_cofactors(x, y)
+        names = tuple(sorted(set(x.variables()) | set(y.variables())))
+        proof = _provably_coprime(_exponent_vectors(x, names), _exponent_vectors(y, names))
+        trivial = ref[0] == _ONE
+        if proof:
+            assert trivial, (x, y)
+        coprime += trivial
+        proved += proof
+        assert _gcd_cofactors(x, y) == ref
+    assert coprime >= 500
+    assert proved >= 0.95 * coprime
+
+
+def test_coprimality_proof_falls_through_at_a_vanishing_leading_coefficient():
+    # x = Q*(T - c) + 1 loses its degree in Q where T takes the value c, so
+    # the proof gives up and sympy answers; one step away it proves
+    calls = []
+    cofactors = PolyElement.cofactors
+
+    def counted(self, other):
+        calls.append(1)
+        return cofactors(self, other)
+
+    for shift, sympy_calls in ((0, 1), (1, 0)):
+        c = (_point(1) + shift) % _P  # T is the second of the names (Q, T)
+        x = LaurentPoly({(("Q", 1), ("T", 1)): 1, (("Q", 1),): -c, (): 1})
+        y = LaurentPoly({(("Q", 1), ("T", 1)): 1, (): 2})
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PolyElement, "cofactors", counted)
+            got = _gcd_cofactors(x, y)
+        assert len(calls) == sympy_calls
+        assert got == _sympy_cofactors(x, y) == (_ONE, x, y)
+        assert got[1] is x and got[2] is y
+
+
+# -- subst over one common denominator against the term-by-term route -------
+
+def _term_subst(poly, bind):
+    total = RF_ZERO
+    for mono, coeff in poly.terms.items():
+        term = RatFunc.const(coeff)
+        for name, e in mono:
+            base = bind.get(name)
+            if base is None:
+                term = term * RatFunc.var(name, e)
+            else:
+                term = term * base**e
+        total = total + term
+    return total
+
+
+def _termwise_subst(f, bindings):
+    """RatFunc.subst as it was: one product and one sum per term."""
+    bind = {k: RatFunc.coerce(v) for k, v in bindings.items()}
+    num = _term_subst(f.num, bind)
+    den = _term_subst(f.den, bind)
+    if den.is_zero:
+        raise ZeroDivisionError("denominator vanishes under substitution")
+    return num / den
+
+
+def test_subst_matches_the_term_by_term_route():
+    rng = random.Random(16)
+    bindings = [
+        {"T": T.inv(), "U": U.inv()},                   # monomial values
+        {"T": T * Q.inv()},
+        {"T": RatFunc.const(0)},                        # constants
+        {"A": RatFunc.const(Fraction(1, 3)), "B": 2},
+        {"A": (1 + Q) / (Q - 2), "T": 1 / (1 + T)},     # non-monomial denominators
+        {"Q": (Q**2 + A) / (Q * B - 1)},
+        {"T": T / (1 + T), "Q": Q**2 + 1},              # a variable in its own value
+        {"K": Q + 1, "T": T},                           # K occurs nowhere
+        {},
+    ]
+    names = ("Q", "T", "A", "B", "U")
+
+    def monomial():
+        out = RatFunc.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for n in rng.sample(names, rng.randint(0, 3)):
+            out = out * rf_var(n, rng.choice([-2, -1, 1, 2, 3]))
+        return out
+
+    def draw():
+        return sum((monomial() for _ in range(rng.randint(1, 4))), RF_ZERO)
+
+    checked = 0
+    for _ in range(60):
+        den = draw()
+        f = draw() / den if not den.is_zero else draw()
+        for b in bindings:
+            try:
+                want = _termwise_subst(f, b)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    f.subst(b)
+                continue
+            got = f.subst(b)
+            assert got == want and got.to_text() == want.to_text()
+            checked += 1
+    assert checked >= 400

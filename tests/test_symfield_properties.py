@@ -22,7 +22,6 @@ from besselzeta.symfield import (
     _mono_key,
     _ring_for,
     _sorted_terms,
-    _to_sympy,
     parse_ratfunc,
     rf_var,
 )
@@ -80,6 +79,14 @@ def _old_min_exponents(poly):
         name: min(dict(mono).get(name, 0) for mono in poly.terms)
         for name in poly.variables()
     }
+
+
+def _to_sympy(poly, names, R):
+    # the reference's own conversion, independent of the program's
+    # _exponent_vectors
+    return R.from_dict(
+        {_mono_key(mono, names): coeff for mono, coeff in poly.terms.items()}
+    )
 
 
 def _poly_gcd_reduce(num, den):
