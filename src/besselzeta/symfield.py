@@ -20,10 +20,13 @@ symbols).
 
 Numerators and denominators are Laurent polynomials with integer
 coefficients; a rational constant is an integer numerator over an integer
-denominator.  Rational functions are kept fully canonical: numerator and
-denominator are integer-primitive polynomials with no common factor, no
-common monomial, and the denominator has positive leading coefficient in
-the fixed monomial order.  Equality of canonical forms is therefore
+denominator.  A polynomial stores its sorted variable names once and each
+monomial as a tuple of exponents over them, the one format that the
+arithmetic, the coprimality proof and sympy's from_dict and terms() read.
+Rational functions are kept fully canonical: numerator and denominator
+are integer-primitive polynomials with no common factor, no common
+monomial, and the denominator has positive leading coefficient in lex
+order over the sorted names.  Equality of canonical forms is therefore
 structural.
 
 Sums, products and quotients follow Henrici's algorithm (Knuth, TAOCP
@@ -54,6 +57,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping
 
@@ -62,45 +66,36 @@ from sympy.polys.rings import ring as _sympy_ring
 
 BUILTIN_VARS = ("Q", "T", "A", "B", "G", "U", "L")
 
-# A monomial is a tuple of (name, exponent) pairs, sorted by name, with no
-# zero exponents.  The empty tuple is the constant monomial.
-Mono = tuple
 
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for name, e in m2:
-        e2 = d.get(name, 0) + e
-        if e2:
-            d[name] = e2
-        else:
-            del d[name]
-    return tuple(sorted(d.items()))
+def _union(a: tuple, b: tuple) -> tuple:
+    """The sorted union of two sorted tuples of variable names."""
+    return a if a == b else tuple(sorted({*a, *b}))
 
 
 class LaurentPoly:
     """Finite sum of monomials with integer coefficients.
 
-    Exponents may be negative.  No zero coefficient is ever stored, so the
-    representation is canonical and structural equality is mathematical
-    equality.  A coefficient that is not an integer (a Fraction, a float)
-    raises TypeError; rational constants are RatFuncs.
+    ``names`` is the sorted tuple of the variables that occur, and ``terms``
+    maps each monomial, a tuple of exponents over ``names``, to its
+    coefficient.  Exponents may be negative.  No zero coefficient is ever
+    stored, and a variable whose exponent is zero in every term is dropped
+    from ``names``, so the representation is canonical and structural
+    equality is mathematical equality.  A coefficient that is not an
+    integer (a Fraction, a float) raises TypeError; rational constants are
+    RatFuncs.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("names", "terms", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, int] | None = None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = operator.index(coeff)
-                if c:
-                    clean[mono] = c
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, names: tuple, terms: Mapping[tuple, int]):
+        terms = {m: c for m, c in zip(terms, map(operator.index, terms.values()))
+                 if c}
+        used = list(map(any, zip(*terms)))
+        if sum(used) < len(names):
+            terms = {tuple(compress(m, used)): c for m, c in terms.items()}
+            names = tuple(compress(names, used))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
@@ -108,22 +103,20 @@ class LaurentPoly:
 
     @staticmethod
     def const(c: int) -> "LaurentPoly":
-        return LaurentPoly({(): c})
+        return LaurentPoly((), {(): c})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
         if not isinstance(name, str) or not name.isidentifier():
             raise ValueError(f"invalid variable name {name!r}")
-        if exp == 0:
-            return LaurentPoly.const(1)
-        return LaurentPoly({((name, exp),): 1})
+        return LaurentPoly((name,), {(exp,): 1})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.names
 
     def const_value(self) -> int:
         if self.is_const():
@@ -134,51 +127,65 @@ class LaurentPoly:
         return len(self.terms) == 1
 
     def variables(self) -> tuple:
-        names = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                names.add(name)
-        return tuple(sorted(names))
+        return self.names
+
+    def _over(self, names: tuple) -> dict:
+        """The terms as exponent tuples over names, a sorted superset of self.names."""
+        if names == self.names:
+            return self.terms
+        columns = dict(zip(self.names, zip(*self.terms)))
+        zero = (0,) * len(self.terms)
+        return dict(zip(zip(*(columns.get(n, zero) for n in names)), self.terms.values()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = dict(self.terms)
-        for mono, c in other.terms.items():
+        names = _union(self.names, other.names)
+        d = dict(self._over(names))
+        for mono, c in other._over(names).items():
             s = d.get(mono, 0) + c
             if s:
                 d[mono] = s
-            elif mono in d:
+            else:
                 del d[mono]
-        return LaurentPoly(d)
+        return LaurentPoly(names, d)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return LaurentPoly(self.names, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
-            return LaurentPoly()
+            return _ZERO
+        if not self.names:
+            self, other = other, self
+        if not other.names:  # most products have a constant factor: no loop
+            c = other.terms[()]
+            return self if c == 1 else LaurentPoly(
+                self.names, {m: c * v for m, v in self.terms.items()})
+        names = _union(self.names, other.names)
+        rhs = other._over(names).items()
         d = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+        for m1, c1 in self._over(names).items():
+            for m2, c2 in rhs:
+                m = tuple(map(operator.add, m1, m2))
                 s = d.get(m, 0) + c1 * c2
                 if s:
                     d[m] = s
                 elif m in d:
                     del d[m]
-        return LaurentPoly(d)
+        return LaurentPoly(names, d)
 
-    def mono_shift(self, shift: Mono) -> "LaurentPoly":
-        if not shift:
-            return self
-        return LaurentPoly({_mono_mul(m, shift): c for m, c in self.terms.items()})
+    def mono_shift(self, names: tuple, shift: tuple) -> "LaurentPoly":
+        """self times the monomial with exponents shift over names, a sorted
+        superset of self.names."""
+        return LaurentPoly(names, {tuple(map(operator.add, m, shift)): c
+                                   for m, c in self._over(names).items()})
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative power of a LaurentPoly; use RatFunc")
-        out = LaurentPoly.const(1)
+        out = _ONE
         base = self
         while k:
             if k & 1:
@@ -187,24 +194,18 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def min_exponents(self) -> dict:
-        """Per-variable minimum exponent over all terms (0 where absent)."""
-        mins, seen = {}, {}
-        for mono in self.terms:
-            for name, e in mono:
-                if name not in mins or e < mins[name]:
-                    mins[name] = e
-                seen[name] = seen.get(name, 0) + 1
-        n = len(self.terms)
-        return {name: e if seen[name] == n else min(e, 0) for name, e in mins.items()}
+    def min_exponents(self) -> tuple:
+        """Per-variable minimum exponent over all terms, over self.names."""
+        return tuple(map(min, zip(*self.terms)))
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return (isinstance(other, LaurentPoly) and self.names == other.names
+                and self.terms == other.terms)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            h = hash((self.names, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -212,20 +213,12 @@ class LaurentPoly:
         return f"LaurentPoly({poly_text(self)!r})"
 
 
-_ZERO = LaurentPoly()
+_ZERO = LaurentPoly((), {})
 _ONE = LaurentPoly.const(1)
 
 
-def _mono_key(mono: Mono, names: tuple) -> tuple:
-    d = dict(mono)
-    return tuple(d.get(n, 0) for n in names)
-
-
 def _sorted_terms(poly: LaurentPoly) -> list:
-    names = poly.variables()
-    return sorted(
-        poly.terms.items(), key=lambda item: _mono_key(item[0], names), reverse=True
-    )
+    return sorted(poly.terms.items(), reverse=True)
 
 
 def poly_text(poly: LaurentPoly) -> str:
@@ -235,10 +228,11 @@ def poly_text(poly: LaurentPoly) -> str:
     pieces = []
     for mono, coeff in _sorted_terms(poly):
         factors = []
-        if abs(coeff) != 1 or not mono:
+        if abs(coeff) != 1 or not any(mono):
             factors.append(str(abs(coeff)))
-        for name, e in mono:
-            factors.append(name if e == 1 else f"{name}^{e}")
+        for name, e in zip(poly.names, mono):
+            if e:
+                factors.append(name if e == 1 else f"{name}^{e}")
         body = "*".join(factors)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
@@ -250,28 +244,6 @@ def poly_text(poly: LaurentPoly) -> str:
 @lru_cache(maxsize=None)
 def _ring_for(names: tuple):
     return _sympy_ring(list(names), ZZ)[0]
-
-
-def _exponent_vectors(poly: LaurentPoly, names: tuple) -> dict:
-    """poly as {exponent tuple over names: coefficient}, sympy's from_dict form."""
-    index = {name: i for i, name in enumerate(names)}
-    out = {}
-    for mono, coeff in poly.terms.items():
-        exps = [0] * len(names)
-        for name, e in mono:
-            exps[index[name]] = e
-        out[tuple(exps)] = coeff
-    return out
-
-
-def _from_sympy(elem, names: tuple) -> LaurentPoly:
-    terms = {}
-    for exps, coeff in elem.terms():
-        mono = tuple(
-            sorted((names[i], e) for i, e in enumerate(exps) if e)
-        )
-        terms[mono] = coeff
-    return LaurentPoly(terms)
 
 
 # Brown's coprimality proof works in F_P at one fixed point.
@@ -299,7 +271,7 @@ def _rem_mod_p(f: list, g: list) -> list:
 
 
 def _provably_coprime(xv: dict, yv: dict) -> bool:
-    """Whether the gcd of two polynomials, given as exponent vectors over the
+    """Whether the gcd of two polynomials, given as their terms over the
     same names, is a monomial times an integer, by Brown's modular proof
     (J. ACM 18, 1971).  False means only that no proof was found.
 
@@ -360,27 +332,26 @@ def _gcd_cofactors(x: LaurentPoly, y: LaurentPoly):
     both without sympy.  Otherwise _provably_coprime tries to prove that
     the gcd is a monomial times an integer, and on a proof answers
     (1, x, y), with x and y themselves, without sympy.  Only then do
-    sympy's cofactors decide, from the same exponent vectors: a gcd of one
-    term returns (1, x, y) with x and y themselves, and any other gcd
-    returns all three in sympy's terms() order, descending lex (the order
-    contract of _canonicalize).  Since sympy's gcd has one term exactly
-    when the gcd is a monomial times an integer, the proof changes no
-    answer.  Exponents must be nonnegative, as in every canonical
-    numerator and denominator.
+    sympy's cofactors decide, from the same terms: a gcd of one term
+    returns (1, x, y) with x and y themselves, and any other gcd returns
+    all three in sympy's terms() order, descending lex (the order contract
+    of _canonicalize).  Since sympy's gcd has one term exactly when the gcd
+    is a monomial times an integer, the proof changes no answer.  Exponents
+    must be nonnegative, as in every canonical numerator and denominator.
     """
     if x.is_monomial() or y.is_monomial():
         return _ONE, x, y
     if x == y:
         return x, _ONE, _ONE
-    names = tuple(sorted(set(x.variables()) | set(y.variables())))
-    xv, yv = _exponent_vectors(x, names), _exponent_vectors(y, names)
+    names = _union(x.names, y.names)
+    xv, yv = x._over(names), y._over(names)
     if _provably_coprime(xv, yv):
         return _ONE, x, y
     R = _ring_for(names)
     g, a, b = R.from_dict(xv).cofactors(R.from_dict(yv))
     if len(g) == 1:
         return _ONE, x, y
-    return _from_sympy(g, names), _from_sympy(a, names), _from_sympy(b, names)
+    return tuple(LaurentPoly(names, dict(p.terms())) for p in (g, a, b))
 
 
 class RatFunc:
@@ -443,7 +414,7 @@ class RatFunc:
         return Fraction(self.num.const_value(), self.den.const_value())
 
     def variables(self) -> tuple:
-        return tuple(sorted(set(self.num.variables()) | set(self.den.variables())))
+        return _union(self.num.names, self.den.names)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "RatFunc":
@@ -536,17 +507,17 @@ class RatFunc:
         bind = {k: RatFunc.coerce(v) for k, v in bindings.items()}
         top = {}
         for poly in (self.num, self.den):
-            for mono in poly.terms:
-                for name, e in mono:
-                    if name in bind and e > top.get(name, 0):
-                        top[name] = e
+            for name, col in zip(poly.names, zip(*poly.terms)):
+                if name in bind:
+                    top[name] = max(top.get(name, 0), *col)
         factors = {}  # (x, e) -> n_x^e * d_x^(E_x - e)
 
         def image(poly: LaurentPoly) -> LaurentPoly:
-            out = {}
+            out = _ZERO
             for mono, coeff in poly.terms.items():
-                exps = dict(mono)
-                term = LaurentPoly({tuple((n, e) for n, e in mono if n not in top): coeff})
+                exps = dict(zip(poly.names, mono))
+                free = tuple(0 if n in top else e for n, e in exps.items())
+                term = LaurentPoly(poly.names, {free: coeff})
                 for name, top_e in top.items():
                     e = exps.get(name, 0)
                     f = factors.get((name, e))
@@ -554,9 +525,8 @@ class RatFunc:
                         value = bind[name]
                         f = factors[name, e] = value.num**e * value.den**(top_e - e)
                     term = term * f
-                for m, c in term.terms.items():
-                    out[m] = out.get(m, 0) + c
-            return LaurentPoly(out)
+                out = out + term
+            return out
 
         num, den = image(self.num), image(self.den)
         if den.is_zero:
@@ -619,32 +589,25 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly, coprime: bool = False,
         return _ZERO, _ONE
     # joint monomial shift so that each variable's minimum exponent over
     # numerator and denominator together is zero
-    mins_n = num.min_exponents()
-    mins_d = den.min_exponents()
-    shift = {}
-    for name in set(mins_n) | set(mins_d):
-        m = min(mins_n.get(name, 0), mins_d.get(name, 0))
-        if m:
-            shift[name] = -m
-    if shift:
-        mono = tuple(sorted(shift.items()))
-        num = num.mono_shift(mono)
-        den = den.mono_shift(mono)
+    names = _union(num.names, den.names)
+    mins_n = dict(zip(num.names, num.min_exponents()))
+    mins_d = dict(zip(den.names, den.min_exponents()))
+    shift = tuple(-min(mins_n.get(n, 0), mins_d.get(n, 0)) for n in names)
+    if any(shift):
+        num, den = num.mono_shift(names, shift), den.mono_shift(names, shift)
     # joint content, so that the coefficients are primitive integers
     content = _int_gcd(*num.terms.values(), *den.terms.values())
     if content > 1:
-        num = LaurentPoly({m: c // content for m, c in num.terms.items()})
-        den = LaurentPoly({m: c // content for m, c in den.terms.items()})
+        num = LaurentPoly(num.names, {m: c // content for m, c in num.terms.items()})
+        den = LaurentPoly(den.names, {m: c // content for m, c in den.terms.items()})
     # polynomial gcd; monomials carry none after the shift and content steps
     if not coprime:
         _, num, den = _gcd_cofactors(num, den)
     # positive leading coefficient of the denominator
-    names = den.variables()
-    lead = max(den.terms, key=lambda m: _mono_key(m, names))
-    if den.terms[lead] < 0:
+    if den.terms[max(den.terms)] < 0:
         num, den = -num, -den
     if lex:
-        num, den = (LaurentPoly(dict(_sorted_terms(p))) for p in (num, den))
+        num, den = (LaurentPoly(p.names, dict(_sorted_terms(p))) for p in (num, den))
     return num, den
 
 
@@ -658,13 +621,16 @@ def _product(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) -> 
 
 
 def _poly_eval(poly: LaurentPoly, values: Mapping[str, complex]):
+    for name in poly.names:
+        if name not in values:
+            raise KeyError(f"no value bound for variable {name}")
+    points = [complex(values[name]) for name in poly.names]
     total = 0
     for mono, coeff in poly.terms.items():
         term = complex(coeff)
-        for name, e in mono:
-            if name not in values:
-                raise KeyError(f"no value bound for variable {name}")
-            term *= complex(values[name]) ** e
+        for v, e in zip(points, mono):
+            if e:
+                term *= v ** e
         total += term
     return total
 

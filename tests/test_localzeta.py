@@ -380,7 +380,7 @@ def _at(f: RatFunc, point) -> int:
     def poly(p):
         total = 0
         for mono, c in p.terms.items():
-            for name, e in mono:
+            for name, e in zip(p.names, mono):
                 c = c * pow(point[name], e, _P)
             total += c
         return total % _P

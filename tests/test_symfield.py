@@ -13,8 +13,6 @@ from besselzeta.symfield import (
     RatMatrix,
     _ONE,
     _P,
-    _exponent_vectors,
-    _from_sympy,
     _gcd_cofactors,
     _point,
     _provably_coprime,
@@ -259,19 +257,33 @@ def _sympy_cofactors(x, y):
     """The sympy route of _gcd_cofactors, with no proof in front of it."""
     names = tuple(sorted(set(x.variables()) | set(y.variables())))
     R = _ring_for(names)
-    g, a, b = R.from_dict(_exponent_vectors(x, names)).cofactors(
-        R.from_dict(_exponent_vectors(y, names)))
+    g, a, b = R.from_dict(_vectors(x, names)).cofactors(R.from_dict(_vectors(y, names)))
     if len(g) == 1:
         return _ONE, x, y
-    return _from_sympy(g, names), _from_sympy(a, names), _from_sympy(b, names)
+    return tuple(LaurentPoly(names, dict(p.terms())) for p in (g, a, b))
+
+
+def _vectors(poly, names):
+    """poly's terms as exponent tuples over names, a superset of its own."""
+    return {tuple(dict(zip(poly.names, mono)).get(n, 0) for n in names): c
+            for mono, c in poly.terms.items()}
 
 
 def _random_poly(rng, names, terms, top=3):
-    return LaurentPoly({
-        tuple((n, e) for n in names if (e := rng.randint(0, top))): rng.choice(
+    """terms random terms, each exponent drawn in the order of names."""
+    out = {}
+    for _ in range(terms):
+        exps = {n: rng.randint(0, top) for n in names}
+        out[tuple(exps[n] for n in sorted(names))] = rng.choice(
             [c for c in range(-9, 10) if c])
-        for _ in range(terms)
-    })
+    return LaurentPoly(tuple(sorted(names)), out)
+
+
+def _shifted(poly, pairs):
+    """poly times the monomial of the (name, exponent) pairs."""
+    for name, e in pairs:
+        poly = poly * LaurentPoly.var(name, e)
+    return poly
 
 
 def test_coprimality_proof_agrees_with_sympy():
@@ -288,17 +300,17 @@ def test_coprimality_proof_agrees_with_sympy():
             h = _random_poly(rng, names, rng.randint(2, 3), top=2)
             x, y = x * h, y * h
         elif kind == 2:  # planted monomial factors, partly shared
-            x = x.mono_shift(tuple((n, rng.randint(1, 2)) for n in names[:2]))
-            y = y.mono_shift(tuple((n, rng.randint(1, 2)) for n in names[-2:]))
+            x = _shifted(x, [(n, rng.randint(1, 2)) for n in names[:2]])
+            y = _shifted(y, [(n, rng.randint(1, 2)) for n in names[-2:]])
         elif kind == 3:  # both
             h = _random_poly(rng, names, 2, top=2)
-            x, y = (x * h).mono_shift(((names[0], 1),)), y * h
+            x, y = x * h * LaurentPoly.var(names[0]), y * h
         if x.is_monomial() or y.is_monomial() or x == y:
             continue
         draws += 1
         ref = _sympy_cofactors(x, y)
         names = tuple(sorted(set(x.variables()) | set(y.variables())))
-        proof = _provably_coprime(_exponent_vectors(x, names), _exponent_vectors(y, names))
+        proof = _provably_coprime(_vectors(x, names), _vectors(y, names))
         trivial = ref[0] == _ONE
         if proof:
             assert trivial, (x, y)
@@ -321,8 +333,8 @@ def test_coprimality_proof_falls_through_at_a_vanishing_leading_coefficient():
 
     for shift, sympy_calls in ((0, 1), (1, 0)):
         c = (_point(1) + shift) % _P  # T is the second of the names (Q, T)
-        x = LaurentPoly({(("Q", 1), ("T", 1)): 1, (("Q", 1),): -c, (): 1})
-        y = LaurentPoly({(("Q", 1), ("T", 1)): 1, (): 2})
+        x = LaurentPoly(("Q", "T"), {(1, 1): 1, (1, 0): -c, (0, 0): 1})
+        y = LaurentPoly(("Q", "T"), {(1, 1): 1, (0, 0): 2})
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(PolyElement, "cofactors", counted)
@@ -338,7 +350,7 @@ def _term_subst(poly, bind):
     total = RF_ZERO
     for mono, coeff in poly.terms.items():
         term = RatFunc.const(coeff)
-        for name, e in mono:
+        for name, e in zip(poly.names, mono):
             base = bind.get(name)
             if base is None:
                 term = term * RatFunc.var(name, e)

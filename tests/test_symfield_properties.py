@@ -16,10 +16,9 @@ from besselzeta.symfield import (
     RatFunc,
     _ONE,
     _ZERO,
-    _from_sympy,
+    _canonicalize,
     _gcd_cofactors,
     _int_gcd,
-    _mono_key,
     _ring_for,
     _sorted_terms,
     parse_ratfunc,
@@ -69,24 +68,30 @@ def test_const_value_roundtrip(a, b):
 @given(st.one_of(consts, st.floats(allow_nan=False)))
 def test_laurent_rejects_non_integer_coefficients(c):
     with pytest.raises(TypeError):
-        LaurentPoly({(("T", 1),): c})
+        LaurentPoly(("T",), {(1,): c})
+
+
+def test_laurent_needs_names_and_terms():
+    # a one-argument call in the old pair format must not read as zero
+    with pytest.raises(TypeError):
+        LaurentPoly({(("T", 1),): 1})
 
 
 # -- the gcd-free fast paths against the full canonicalization -------------
 
 def _old_min_exponents(poly):
     return {
-        name: min(dict(mono).get(name, 0) for mono in poly.terms)
+        name: min(dict(zip(poly.names, mono))[name] for mono in poly.terms)
         for name in poly.variables()
     }
 
 
 def _to_sympy(poly, names, R):
-    # the reference's own conversion, independent of the program's
-    # _exponent_vectors
-    return R.from_dict(
-        {_mono_key(mono, names): coeff for mono, coeff in poly.terms.items()}
-    )
+    # the reference's own conversion, independent of the program's _over
+    return R.from_dict({
+        tuple(dict(zip(poly.names, mono)).get(n, 0) for n in names): coeff
+        for mono, coeff in poly.terms.items()
+    })
 
 
 def _poly_gcd_reduce(num, den):
@@ -100,7 +105,7 @@ def _poly_gcd_reduce(num, den):
     g, a, b = _to_sympy(num, names, R).cofactors(_to_sympy(den, names, R))
     if g == R.one:
         return num, den
-    return _from_sympy(a, names), _from_sympy(b, names)
+    return LaurentPoly(names, dict(a.terms())), LaurentPoly(names, dict(b.terms()))
 
 
 def _full(num, den):
@@ -114,15 +119,15 @@ def _full(num, den):
         if m:
             shift[name] = -m
     if shift:
-        mono = tuple(sorted(shift.items()))
-        num, den = num.mono_shift(mono), den.mono_shift(mono)
+        names = tuple(sorted({*num.names, *den.names}))
+        exps = tuple(shift.get(n, 0) for n in names)
+        num, den = num.mono_shift(names, exps), den.mono_shift(names, exps)
     content = _int_gcd(*num.terms.values(), *den.terms.values())
     if content > 1:
-        num = LaurentPoly({m: c // content for m, c in num.terms.items()})
-        den = LaurentPoly({m: c // content for m, c in den.terms.items()})
+        num = LaurentPoly(num.names, {m: c // content for m, c in num.terms.items()})
+        den = LaurentPoly(den.names, {m: c // content for m, c in den.terms.items()})
     num, den = _poly_gcd_reduce(num, den)
-    names = den.variables()
-    lead = max(den.terms, key=lambda m: _mono_key(m, names))
+    lead = max(den.terms)
     if den.terms[lead] < 0:
         num, den = -num, -den
     return num, den
@@ -229,12 +234,18 @@ def test_planted_common_factors_match_full_canonicalization(a, b, c, d, e, h):
             _same_terms(g / f, _div(gp, fp))
 
 
+def _from_pairs(terms):
+    """The LaurentPoly of {monomial as sorted (name, exponent) pairs: coeff}."""
+    names = tuple(sorted({n for mono in terms for n, _ in mono}))
+    return LaurentPoly(names, {tuple(dict(mono).get(n, 0) for n in names): c
+                               for mono, c in terms.items()})
+
+
+pair_monomials = st.dictionaries(st.sampled_from(BUILTIN_VARS), st.integers(1, 3),
+                                 max_size=3).map(lambda d: tuple(sorted(d.items())))
 polynomials = st.dictionaries(
-    st.dictionaries(st.sampled_from(BUILTIN_VARS), st.integers(1, 3),
-                    max_size=3).map(lambda d: tuple(sorted(d.items()))),
-    st.integers(-9, 9).filter(bool),
-    min_size=1, max_size=4,
-).map(LaurentPoly)
+    pair_monomials, st.integers(-9, 9).filter(bool), min_size=1, max_size=4,
+).map(_from_pairs)
 
 
 @PROPS
@@ -262,15 +273,150 @@ def test_gcd_cofactors_shortcuts_return_the_operands(x, y):
     assert _gcd_cofactors(x, x) == ((_ONE, x, x) if x.is_monomial() else (x, _ONE, _ONE))
 
 
+laurent_pair_monomials = st.dictionaries(
+    st.sampled_from(BUILTIN_VARS), st.integers(-3, 3).filter(bool), max_size=3,
+).map(lambda d: tuple(sorted(d.items())))
 laurent_polys = st.dictionaries(
-    st.dictionaries(st.sampled_from(BUILTIN_VARS), st.integers(-3, 3).filter(bool),
-                    max_size=3).map(lambda d: tuple(sorted(d.items()))),
-    st.integers(-9, 9),
-    max_size=4,
-).map(LaurentPoly)
+    laurent_pair_monomials, st.integers(-9, 9), max_size=4,
+).map(_from_pairs)
 
 
 @PROPS
 @given(laurent_polys)
 def test_min_exponents_one_pass(poly):
-    assert poly.min_exponents() == _old_min_exponents(poly)
+    assert dict(zip(poly.names, poly.min_exponents())) == _old_min_exponents(poly)
+
+
+# -- the exponent-tuple format against (name, exponent) pair arithmetic ------
+
+def test_cancelled_variable_is_dropped():
+    q = LaurentPoly.var("Q")
+    one = (q + _ONE) - q
+    assert one == _ONE and hash(one) == hash(_ONE) and one.variables() == ()
+    assert RatFunc(one) == RF_ONE
+    t = LaurentPoly.var("T")
+    assert (q * t) * LaurentPoly.var("T", -1) == q
+    assert q.mono_shift(("Q", "T"), (-1, 0)) == _ONE
+    assert q.mono_shift(("Q", "T"), (-1, 2)) == t * t
+
+
+def test_arithmetic_across_variable_sets():
+    q, t, a = (LaurentPoly.var(n) for n in "QTA")
+    s = (q + t) + (a - t)
+    assert s.names == ("A", "Q") and s.terms == {(0, 1): 1, (1, 0): 1}
+    p = (q + t) * (a + _ONE)
+    assert p.names == ("A", "Q", "T")
+    assert list(p.terms.items()) == [((1, 1, 0), 1), ((0, 1, 0), 1), ((1, 0, 1), 1),
+                                     ((0, 0, 1), 1)]
+    m = (q + t).mono_shift(("A", "Q", "T"), (2, 0, -1))
+    assert m.names == ("A", "Q", "T")
+    assert list(m.terms.items()) == [((2, 1, -1), 1), ((2, 0, 0), 1)]
+
+
+def _pair_mono_mul(m1, m2):
+    d = dict(m1)
+    for name, e in m2:
+        e2 = d.get(name, 0) + e
+        if e2:
+            d[name] = e2
+        else:
+            del d[name]
+    return tuple(sorted(d.items()))
+
+
+def _pair_add(p, q):
+    d = dict(p)
+    for m, c in q.items():
+        s = d.get(m, 0) + c
+        if s:
+            d[m] = s
+        elif m in d:
+            del d[m]
+    return d
+
+
+def _pair_mul(p, q):
+    d = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = _pair_mono_mul(m1, m2)
+            s = d.get(m, 0) + c1 * c2
+            if s:
+                d[m] = s
+            elif m in d:
+                del d[m]
+    return d
+
+
+def _pair_key(mono, names):
+    return tuple(dict(mono).get(n, 0) for n in names)
+
+
+def _pair_names(*polys):
+    return tuple(sorted({n for p in polys for mono in p for n, _ in mono}))
+
+
+def _pair_from_sympy(elem, names):
+    return {tuple((names[i], e) for i, e in enumerate(exps) if e): c
+            for exps, c in elem.terms()}
+
+
+def _pair_lex(p):
+    names = _pair_names(p)
+    return {m: p[m] for m in sorted(p, key=lambda m: _pair_key(m, names), reverse=True)}
+
+
+def _pair_canonicalize(num, den, coprime, lex):
+    """_canonicalize on {pair monomial: coeff} dicts, with one sympy gcd."""
+    if not num:
+        return {}, {(): 1}
+    low = {n: min(dict(m).get(n, 0) for m in [*num, *den])
+           for n in _pair_names(num, den)}
+    shift = tuple((n, -e) for n, e in low.items() if e)
+    num = {_pair_mono_mul(m, shift): c for m, c in num.items()}
+    den = {_pair_mono_mul(m, shift): c for m, c in den.items()}
+    content = _int_gcd(*num.values(), *den.values())
+    num = {m: c // content for m, c in num.items()}
+    den = {m: c // content for m, c in den.items()}
+    names = _pair_names(num, den)
+    if not coprime and names:
+        R = _ring_for(names)
+        x, y = (R.from_dict({_pair_key(m, names): c for m, c in p.items()})
+                for p in (num, den))
+        g, a, b = x.cofactors(y)
+        if len(g) > 1:
+            num, den = _pair_from_sympy(a, names), _pair_from_sympy(b, names)
+    if den[max(den, key=lambda m: _pair_key(m, _pair_names(den)))] < 0:
+        num = {m: -c for m, c in num.items()}
+        den = {m: -c for m, c in den.items()}
+    if lex:
+        num, den = _pair_lex(num), _pair_lex(den)
+    return num, den
+
+
+def _pairs(poly):
+    """poly's terms as (pair monomial, coeff) items, in stored order."""
+    return [(tuple((n, e) for n, e in zip(poly.names, m) if e), c)
+            for m, c in poly.terms.items()]
+
+
+laurent_terms = st.dictionaries(laurent_pair_monomials, st.integers(-9, 9).filter(bool),
+                                max_size=5)
+
+
+@PROPS
+@given(laurent_terms, laurent_terms, laurent_pair_monomials, st.booleans(),
+       st.booleans())
+def test_term_order_matches_pair_arithmetic(p, q, shift, coprime, lex):
+    x, y = _from_pairs(p), _from_pairs(q)
+    assert _pairs(x) == list(p.items())
+    assert _pairs(x + y) == list(_pair_add(p, q).items())
+    assert _pairs(x * y) == list(_pair_mul(p, q).items())
+    names = tuple(sorted({*x.names, *dict(shift)}))
+    exps = tuple(dict(shift).get(n, 0) for n in names)
+    assert _pairs(x.mono_shift(names, exps)) == [
+        (_pair_mono_mul(m, shift), c) for m, c in p.items()]
+    if q:
+        got = _canonicalize(x, y, coprime, lex)
+        want = _pair_canonicalize(p, q, coprime, lex)
+        assert (_pairs(got[0]), _pairs(got[1])) == tuple(list(w.items()) for w in want)
