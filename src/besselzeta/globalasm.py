@@ -205,15 +205,6 @@ class DirichletChar:
     def is_primitive(self) -> bool:
         return all(c.conductor == c.ring.e for c in self.components)
 
-    @property
-    def is_real(self) -> bool:
-        return all(2 * c.k % c.ring.unit_order == 0 for c in self.components)
-
-    @property
-    def is_even(self) -> bool:
-        # -1 is g^(unit_order/2) in each component, so chi(-1) = (-1)^(sum k)
-        return sum(c.k for c in self.components) % 2 == 0
-
     def gauss_sum(self) -> complex:
         """G(chi) = sum_a chi(a) e^{2 pi i a / M}, assembled by CRT.
 

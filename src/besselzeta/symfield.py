@@ -31,8 +31,8 @@ structural.
 
 Sums, products and quotients follow Henrici's algorithm (Knuth, TAOCP
 vol. 2, 4.5.1): since every operand is canonical, a/b + c/d takes
-gcd(b, d) and, only when that is not a monomial, one more gcd of the new
-numerator with it; (a/b)(c/d) takes gcd(a, d) and gcd(c, b).  These are
+gcd(b, d) and one more gcd of the new numerator with it, which is free
+when the first is 1; (a/b)(c/d) takes gcd(a, d) and gcd(c, b).  These are
 gcds of the operands, never of their products.  x + 0, x * 1 and x * 0
 return at once, and negation, inverse and integer powers take no gcd.
 subst brings every substituted term over one common denominator and
@@ -44,10 +44,10 @@ images mod the prime 2^61 - 1 at one fixed point prove most gcds to be a
 monomial times an integer, exactly when sympy's gcd would have one term.
 Only the pairs it cannot settle go to the ``cofactors`` of sympy's sparse
 polynomial rings over ZZ.  All other arithmetic is self-contained.
-Results of + - * / keep the term order that one gcd of the full products
-gave (see _canonicalize), so evaluate() returns the same floats.  The
-package evaluates no value built from a subst result, so the term order
-of those is free.
+Terms keep the order the arithmetic built them in; only the cofactors of
+a gcd that sympy finds to have two or more terms arrive in sympy's order.
+evaluate() sums in stored order, so its floats follow that order, and the
+golden report pins them.
 
 All values are immutable after construction and safe to share.
 """
@@ -190,8 +190,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def min_exponents(self) -> tuple:
@@ -217,16 +218,12 @@ _ZERO = LaurentPoly((), {})
 _ONE = LaurentPoly.const(1)
 
 
-def _sorted_terms(poly: LaurentPoly) -> list:
-    return sorted(poly.terms.items(), reverse=True)
-
-
 def poly_text(poly: LaurentPoly) -> str:
     """Deterministic text form: monomials in descending lex order."""
     if poly.is_zero:
         return "0"
     pieces = []
-    for mono, coeff in _sorted_terms(poly):
+    for mono, coeff in sorted(poly.terms.items(), reverse=True):
         factors = []
         if abs(coeff) != 1 or not any(mono):
             factors.append(str(abs(coeff)))
@@ -334,10 +331,10 @@ def _gcd_cofactors(x: LaurentPoly, y: LaurentPoly):
     (1, x, y), with x and y themselves, without sympy.  Only then do
     sympy's cofactors decide, from the same terms: a gcd of one term
     returns (1, x, y) with x and y themselves, and any other gcd returns
-    all three in sympy's terms() order, descending lex (the order contract
-    of _canonicalize).  Since sympy's gcd has one term exactly when the gcd
-    is a monomial times an integer, the proof changes no answer.  Exponents
-    must be nonnegative, as in every canonical numerator and denominator.
+    all three in sympy's terms() order.  Since sympy's gcd has one term
+    exactly when the gcd is a monomial times an integer, the proof changes
+    no answer.  Exponents must be nonnegative, as in every canonical
+    numerator and denominator.
     """
     if x.is_monomial() or y.is_monomial():
         return _ONE, x, y
@@ -363,18 +360,15 @@ class RatFunc:
     Two RatFuncs are equal iff they are the same function.
 
     ``_coprime=True`` is the arithmetic's private promise that num and den
-    have no common polynomial factor, so the gcd is skipped.  ``_lex=True``
-    adds that a non-monomial common factor was already divided out, so the
-    terms are stored in descending lex order (see _canonicalize).
+    have no common polynomial factor, so the gcd is skipped.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE, *, _coprime=False,
-                 _lex=False):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE, *, _coprime=False):
         if den.is_zero:
             raise ZeroDivisionError("RatFunc with zero denominator")
-        num, den = _canonicalize(num, den, _coprime, _lex)
+        num, den = _canonicalize(num, den, _coprime)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
@@ -426,13 +420,11 @@ class RatFunc:
         # Henrici: h = gcd(b, d), then one gcd of the new numerator with h
         a, b, c, d = self.num, self.den, other.num, other.den
         h, b_h, d_h = _gcd_cofactors(b, d)
-        if h.is_monomial():
-            return RatFunc(a * d + c * b, b * d, _coprime=True)
         num = a * d_h + c * b_h
         if num.is_zero:
             return RF_ZERO
         _, num, h_rest = _gcd_cofactors(num, h)
-        return RatFunc(num, b_h * d_h * h_rest, _coprime=True, _lex=True)
+        return RatFunc(num, b_h * d_h * h_rest, _coprime=True)
 
     __radd__ = __add__
 
@@ -552,35 +544,22 @@ class RatFunc:
         return f"RatFunc({self.to_text()!r})"
 
 
-def _canonicalize(num: LaurentPoly, den: LaurentPoly, coprime: bool = False,
-                  lex: bool = False):
-    """Canonical form of num/den; ``coprime`` skips the polynomial gcd, and
-    ``lex`` stores the terms in descending lex order.
-
-    Term order.  evaluate() sums the terms in stored order, so the order is
-    part of what a result is.  The rule: the terms keep their construction
-    order when no non-monomial common factor is divided out, and are in
-    descending lex order (sympy's terms() order, that of its cofactors)
-    when one is.  The monomial shift, the content step and the sign step
-    keep the order.
+def _canonicalize(num: LaurentPoly, den: LaurentPoly, coprime: bool = False):
+    """Canonical form of num/den; ``coprime`` skips the polynomial gcd.
 
     The arithmetic on canonical f = a/b and g = c/d builds its result from
-    smaller gcds (Henrici; Knuth, TAOCP vol. 2, 4.5.1) and must divide out
-    a non-monomial factor in exactly the cases where the gcd of the full
-    products would.  Here "monomial" allows an integer factor.
-    - f + g: let h = gcd(b, d).  If h is a monomial, a non-monomial prime
-      p of b*d that divides a*d + c*b divides b, say; then p divides a*d
-      and not a, so it divides d and h, which is impossible.  So
-      gcd(a*d + c*b, b*d) is 1 and (a*d + c*b, b*d) is built as it reads,
-      with coprime=True.  Otherwise h divides a*d + c*b, and h^2 divides
-      b*d, so the full gcd is not a monomial; the result
-      t/gcd(t, h) over (b/h)(d/h)(h/gcd(t, h)), with
-      t = a(d/h) + c(b/h), is reduced and is stored with lex=True.
+    smaller gcds (Henrici; Knuth, TAOCP vol. 2, 4.5.1), already reduced, and
+    passes coprime=True.  Here "monomial" allows an integer factor.
+    - f + g: let h = gcd(b, d) and t = a(d/h) + c(b/h).  A non-monomial
+      prime p dividing t and b/h, say, divides a(d/h) and not a, so it
+      divides d/h, which is coprime to b/h: impossible.  So the result
+      t/gcd(t, h) over (b/h)(d/h)(h/gcd(t, h)) is reduced.  When h is a
+      monomial, _gcd_cofactors returns it as 1 and b/h, d/h as b, d, so
+      this is (a*d + c*b)/(b*d).
     - f * g: gcd(a*c, b*d) = gcd(a, d) gcd(c, b), since gcd(a, b) and
-      gcd(c, d) are 1.  If both factors are monomials, (a*c, b*d) is built
-      as it reads; otherwise the cofactors' product is stored with
-      lex=True.  f / g is f * (d/c).
-    - -f, 1/f and f**k keep gcd 1 (gcd(a^k, b^k) = 1), as coprime=True.
+      gcd(c, d) are 1, so the product of the cofactors is reduced.  f / g
+      is f * (d/c).
+    - -f, 1/f and f**k keep gcd 1 (gcd(a^k, b^k) = 1).
     With coprime=True the shift and content steps leave an integer
     polynomial gcd of exactly 1, and a gcd of 1 leaves num and den
     untouched, so skipping it changes no term and no term order.
@@ -606,18 +585,15 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly, coprime: bool = False,
     # positive leading coefficient of the denominator
     if den.terms[max(den.terms)] < 0:
         num, den = -num, -den
-    if lex:
-        num, den = (LaurentPoly(p.names, dict(_sorted_terms(p))) for p in (num, den))
     return num, den
 
 
 def _product(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) -> RatFunc:
     """(a/b) * (c/d) for gcd(a, b) = gcd(c, d) = 1, by Henrici: the gcds
     of a with d and of c with b, never of the products."""
-    g1, a, d = _gcd_cofactors(a, d)
-    g2, c, b = _gcd_cofactors(c, b)
-    return RatFunc(a * c, b * d, _coprime=True,
-                   _lex=not (g1.is_monomial() and g2.is_monomial()))
+    _, a, d = _gcd_cofactors(a, d)
+    _, c, b = _gcd_cofactors(c, b)
+    return RatFunc(a * c, b * d, _coprime=True)
 
 
 def _poly_eval(poly: LaurentPoly, values: Mapping[str, complex]):

@@ -110,7 +110,8 @@ def test_arch_suite_loads_no_scipy_or_numpy():
 def test_dirichlet_char_basics():
     chi = DirichletChar.quadratic(5)
     assert abs(chi(4) - 1) < 1e-12 and abs(chi(2) + 1) < 1e-12 and chi(5) == 0
-    assert chi.is_real and chi.is_primitive and chi.is_even
+    assert chi.is_primitive and chi(5 - 1) == 1
+    assert all(min(abs(chi(a)), abs(chi(a) - 1), abs(chi(a) + 1)) < 1e-12 for a in range(5))
     triv = DirichletChar.trivial(1)
     assert triv(7) == 1 and triv.gauss_sum() == 1
     with pytest.raises(ValueError):
@@ -125,14 +126,6 @@ def test_char_value_is_periodic_exactly():
             chi = DirichletChar(m, ks)
             for x in range(-3 * m, 3 * m + 1):
                 assert chi(x) == chi(x % m), (m, ks, x)
-
-
-def test_is_even_matches_value_at_minus_one():
-    for M in range(1, 151, 2):
-        orders = [p ** (k - 1) * (p - 1) for p, k in factorize(M)]
-        for ks in itertools.product(*(range(n) for n in orders)):
-            chi = DirichletChar(M, ks)
-            assert chi.is_even == (abs(chi(M - 1) - 1) < 1e-12), (M, ks)
 
 
 def test_gauss_sum_crt_equals_direct():
@@ -201,7 +194,7 @@ def test_global_epsilon_center_pins():
     assert abs(global_epsilon(0.5, gp, 5) + 1) < 1e-12
     # real quadratic mu-tilde mod 17 (even since 17 = 1 mod 4)
     chi = DirichletChar.quadratic(17)
-    assert chi.is_even
+    assert chi(17 - 1) == 1
     gp = GlobalParams(D=-23, l1=6, l2=4, N=5, M=17, chi=chi)
     assert abs(global_epsilon(0.5, gp, 5) - 1) < 1e-9
     gp = GlobalParams(D=-23, l1=5, l2=3, N=5, M=17, chi=chi)

@@ -251,6 +251,30 @@ def test_laurent_negative_power_of_polynomial_raises():
         p ** -1
 
 
+def test_laurent_power_squares_only_while_bits_remain(monkeypatch):
+    # binary powering: one product per set bit of k and one square per
+    # bit below the top one, with no square after the last bit
+    x = LaurentPoly.var("T") + LaurentPoly.var("Q", 2) - LaurentPoly.const(3)
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for k in range(10):
+        want = _ONE
+        for _ in range(k):
+            want = want * x
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        calls.clear()
+        got = x**k
+        monkeypatch.undo()
+        assert got == want
+        if k:
+            assert len(calls) == k.bit_count() + k.bit_length() - 1, k
+
+
 # -- Brown's coprimality proof in front of sympy's cofactors ----------------
 
 def _sympy_cofactors(x, y):
