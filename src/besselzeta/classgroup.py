@@ -4,13 +4,13 @@ Forms (a, b, c) stand for a x^2 + b x y + c y^2 with discriminant
 D = b^2 - 4ac < 0 and a > 0.  SL_2(Z) acts on the right; each class has a
 unique reduced representative (|b| <= a <= c, with b >= 0 when |b| = a or
 a = c).  For a fundamental discriminant the reduced primitive forms make
-up the class group under Gauss composition, here realized through
-concordant forms with coprime leading coefficients.
+up the class group under Gauss composition, computed by the two Bezout
+steps of Cohen's Algorithm 5.4.7 and then reduced.
 
-The group structure (invariant factors, generators, coordinates) is
-extracted from the relation lattice of a generating set via the integer
-Smith normal form, which also parametrizes the character group.  The
-Galois conjugation acts by b -> -b and coincides with inversion.
+The group structure (invariant factors, coordinates) is extracted from the
+relation lattice of a greedy generating set via the integer Smith normal
+form, which also parametrizes the character group.  The Galois conjugation
+acts by b -> -b and coincides with inversion.
 """
 
 from __future__ import annotations
@@ -165,52 +165,38 @@ def t_theta(d: int, tr: int, nm: int) -> QuadForm:
 
 
 def compose_forms(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Gauss composition via concordant forms, reduced output.
+    """Gauss composition of primitive forms, reduced output.
 
-    Replaces g by an equivalent form whose leading coefficient is coprime
-    to that of f, aligns middle coefficients by CRT, and multiplies the
-    resulting concordant pair.
+    Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    5.4.7: with s = (b1 + b2)/2, d = gcd(a1, a2) and d1 = gcd(s, d), two
+    Bezout steps give the composite (a1 a2 / d1^2, b2 + 2 (a2/d1) r, .)
+    directly.
     """
     if f.disc != g.disc:
         raise ValueError("cannot compose forms of different discriminants")
     if not (f.is_primitive() and g.is_primitive()):
         raise ValueError("composition needs primitive forms")
-    a1 = f.a
-    g2 = _equivalent_with_coprime_lead(g, a1)
-    a2 = g2.a
-    # solve B = b1 mod 2 a1, B = b2 mod 2 a2: a1, a2 are coprime and b1, b2
-    # share the parity of D, so B = b1 + a1 (a1^-1 mod a2) (b2 - b1)
-    b1, b2 = f.b, g2.b
-    bb = (b1 + a1 * pow(a1, -1, a2) * (b2 - b1)) % (2 * a1 * a2)
-    assert (bb - b1) % (2 * a1) == 0 and (bb - b2) % (2 * a2) == 0
-    cc_num = bb * bb - f.disc
-    assert cc_num % (4 * a1 * a2) == 0
-    composed = QuadForm(a1 * a2, bb, cc_num // (4 * a1 * a2))
-    return reduce_form(composed)[0]
-
-
-def _equivalent_with_coprime_lead(g: QuadForm, n: int) -> QuadForm:
-    """An SL_2(Z)-equivalent form whose leading coefficient is prime to n."""
-    for x in range(1, 4 * max(n, 2) + 2):
-        for y in range(0, 4 * max(n, 2) + 2):
-            if math.gcd(x, y) != 1:
-                continue
-            if math.gcd(g.value(x, y), n) == 1:
-                if y == 0:  # then x = 1
-                    return g
-                # complete (x, y) to [[x, -t], [y, s]] of determinant 1
-                s = pow(x, -1, y)
-                return g.transform(((x, -((1 - x * s) // y)), (y, s)))
-    raise RuntimeError("no coprime representation found; form not primitive?")
+    a1, a2 = f.a, g.a
+    s = (f.b + g.b) // 2
+    d = math.gcd(a1, a2)
+    d1 = math.gcd(s, d)
+    # y1 a2 = d mod a1 and x2 s - y2 d = d1; pow(x, -1, 1) == 0 covers the
+    # cases a1 | a2 and d | s
+    y1 = pow(a2 // d, -1, a1 // d)
+    x2 = pow(s // d1, -1, d // d1)
+    y2 = (x2 * s - d1) // d
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * (g.b - s) - x2 * g.c) % v1
+    a3, b3 = v1 * v2, g.b + 2 * v2 * r
+    return reduce_form(QuadForm(a3, b3, (b3 * b3 - f.disc) // (4 * a3)))[0]
 
 
 class ClassGroup:
     """The form class group of a fundamental discriminant D < 0.
 
     Classes are indexed by their sorted reduced representatives; the
-    composition table, inverses, invariant-factor structure and class
-    coordinates are precomputed. Immutable once built; queries are
-    thread-safe.
+    composition table, invariant-factor structure and class coordinates
+    are precomputed. Immutable once built; queries are thread-safe.
     """
 
     def __init__(self, d: int):
@@ -227,14 +213,6 @@ class ClassGroup:
             for f in self.classes
         )
         self.identity = self._index[reduce_form(t_theta_principal(d))[0]]
-        self.inverse = tuple(
-            next(
-                j
-                for j in range(self.h)
-                if self.table[i][j] == self.identity
-            )
-            for i in range(self.h)
-        )
         self._build_structure()
 
     @property
@@ -262,46 +240,29 @@ class ClassGroup:
         return k
 
     def _build_structure(self):
-        # greedy generating set, then Smith on the relation lattice
+        # one greedy generating pass: the first class not yet reached is the
+        # next generator g, and the cosets H g, H g^2, ... of the subgroup H
+        # reached so far are added until a power of g lands in H; every class
+        # keeps the exponent vector it was reached by
+        vectors = {self.identity: ()}
         gens = []
-        generated = {self.identity}
         for i in range(self.h):
-            if i in generated:
+            if i in vectors:
                 continue
             gens.append(i)
-            new = set(generated)
-            frontier = set(generated)
-            for _ in range(self.h):
-                nxt = {self.table[x][i] for x in frontier}
-                if nxt <= new:
-                    break
-                frontier = nxt - new
-                new |= nxt
-            generated = new
-            if len(generated) == self.h:
-                break
-        self.generators = tuple(gens)
+            subgroup = vectors
+            vectors = {x: e + (0,) for x, e in subgroup.items()}
+            power, n = i, 1
+            while power not in subgroup:
+                for x, e in subgroup.items():
+                    vectors[self.table[x][power]] = e + (n,)
+                power, n = self.table[power][i], n + 1
         k = len(gens)
         if k == 0:
             self.invariants = ()
-            self._coords = {self.identity: ()}
+            self._coords = vectors
             self._char_orders = ()
             return
-        # exponent vectors for every class by BFS over the generators
-        coords = {self.identity: tuple([0] * k)}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                e = coords[x]
-                for idx, gi in enumerate(gens):
-                    y = self.table[x][gi]
-                    if y not in coords:
-                        e2 = list(e)
-                        e2[idx] += 1
-                        coords[y] = tuple(e2)
-                        nxt.append(y)
-            frontier = nxt
         orders = [self._order_of(g) for g in gens]
         # relation lattice: diag(orders) plus every relation inside the
         # fundamental box (these generate the full kernel of Z^k -> G)
@@ -322,7 +283,7 @@ class ClassGroup:
         # coordinates in the invariant-factor presentation: x -> U e(x)
         trimmed = [i for i, d in enumerate(diag) if d > 1]
         self._coords = {}
-        for cls, e in coords.items():
+        for cls, e in vectors.items():
             ue = [sum(U[i][j] * e[j] for j in range(k)) for i in range(k)]
             self._coords[cls] = tuple(
                 ue[i] % diag[i] for i in trimmed

@@ -397,7 +397,7 @@ def norm_char_sum(gring: GaloisRing, mu: MultChar, u: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (2x2 over Z, with unimodular transforms)
+# Smith normal form over Z, with unimodular transforms
 
 
 def smith_normal_form(m) -> tuple:
@@ -409,34 +409,20 @@ def smith_normal_form(m) -> tuple:
     """
     rows = len(m)
     cols = len(m[0])
-    a = [[int(x) for x in row] for row in m]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    if any(len(row) != cols for row in m):
+        raise ValueError("expected a rectangular matrix")
+    # each row of ``a`` is [row of m | row of U], and V is kept transposed
+    a = [[int(x) for x in row] + [int(i == j) for j in range(rows)]
+         for i, row in enumerate(m)]
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def row_op(i, j, k):  # row_i += k * row_j
-        for mat, w in ((a, cols), (U, rows)):
-            for col in range(w):
-                mat[i][col] += k * mat[j][col]
+    def add_row(i, j, k):  # row_i += k * row_j
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
 
-    def col_op(i, j, k):  # col_i += k * col_j
+    def add_col(i, j, k):  # col_i += k * col_j
         for row in a:
             row[i] += k * row[j]
-        for row in V:
-            row[i] += k * row[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
+        vt[i] = [x + k * y for x, y in zip(vt[i], vt[j])]
 
     def smallest_pivot(t):  # a smallest-magnitude nonzero entry of the trailing block
         pivot = None
@@ -454,20 +440,20 @@ def smith_normal_form(m) -> tuple:
             # move the pivot to (t,t), then reduce its row and column by it;
             # a nonzero remainder is smaller than the pivot and becomes the next one
             i, j = pivot
-            if i != t:
-                row_swap(t, i)
-            if j != t:
-                col_swap(t, j)
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
             if a[t][t] < 0:
-                row_negate(t)
+                a[t] = [-x for x in a[t]]
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    row_op(i, t, -(a[i][t] // a[t][t]))
+                    add_row(i, t, -(a[i][t] // a[t][t]))
                     dirty = dirty or a[i][t] != 0
             for j in range(t + 1, cols):
                 if a[t][j]:
-                    col_op(j, t, -(a[t][j] // a[t][t]))
+                    add_col(j, t, -(a[t][j] // a[t][t]))
                     dirty = dirty or a[t][j] != 0
             if not dirty:
                 # row and column t are clear; enforce divisibility into the
@@ -479,10 +465,10 @@ def smith_normal_form(m) -> tuple:
                 )
                 if offender is None:
                     break
-                row_op(t, offender, 1)
+                add_row(t, offender, 1)
             pivot = smallest_pivot(t)
     diag = [a[i][i] for i in range(min(rows, cols))]
-    return diag, U, V
+    return diag, [row[cols:] for row in a], [list(col) for col in zip(*vt)]
 
 
 def smith_form_2x2(m) -> tuple:

@@ -391,8 +391,9 @@ def suite_classgroup() -> dict:
     seed = _seed()
     rng = random.Random(seed + 2)
     cases = []
+    groups = {d: cg.ClassGroup(d) for d in (-3, -4, -7, -8, -11, -15, -20, -23, -47)}
     for d, h in ((-3, 1), (-4, 1), (-23, 3), (-47, 5)):
-        grp = cg.ClassGroup(d)
+        grp = groups[d]
         oracle = len(cg.reduced_forms(d))
         cases.append(
             _case(
@@ -405,8 +406,7 @@ def suite_classgroup() -> dict:
             )
         )
     axioms_ok = True
-    for d in (-3, -4, -7, -8, -11, -15, -20, -23, -47):
-        grp = cg.ClassGroup(d)
+    for grp in groups.values():
         ident = grp.classes[grp.identity]
         for x in grp.classes:
             if grp.compose(ident, x) != x:
@@ -430,7 +430,7 @@ def suite_classgroup() -> dict:
             "DERIVED",
         )
     )
-    grp = cg.ClassGroup(-47)
+    grp = groups[-47]
     chars = cg.ClassChar.all_chars(grp)
     law_ok = True
     for l2 in (0, 1):

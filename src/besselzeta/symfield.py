@@ -88,6 +88,10 @@ class LaurentPoly:
     __slots__ = ("names", "terms", "_hash")
 
     def __init__(self, names: tuple, terms: Mapping[tuple, int]):
+        if (any(map(operator.ge, names, names[1:]))
+                or not {len(names)}.issuperset(map(len, terms))):
+            raise ValueError("LaurentPoly needs strictly increasing names and "
+                             "one exponent per name in every monomial")
         terms = {m: c for m, c in zip(terms, map(operator.index, terms.values()))
                  if c}
         used = list(map(any, zip(*terms)))

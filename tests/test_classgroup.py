@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -399,6 +401,25 @@ def test_class_group_equals_xgcd_version(monkeypatch):
         assert grp.table == old.table and grp.identity == old.identity, d
         assert grp.invariants == old.invariants, d
         assert [grp.coords(f) for f in grp.classes] == [old.coords(f) for f in old.classes], d
+
+
+# Digest of every structure result for the 305 fundamental D in (-1000, -2],
+# recorded from the closure-and-BFS structure pass that the one generating
+# pass replaced: the reduced classes are unique, and U maps every exponent
+# vector of a class to the same coordinates, so no result may move.
+STRUCTURE_DIGEST = "3a15b5d89469d51f5a215079c04f06933e2243f46010c8049911d27a78abb259"
+
+
+def test_class_group_structure_digest():
+    rows = []
+    for d in range(-999, -1):
+        if is_fundamental(d):
+            grp = ClassGroup(d)
+            rows.append([d, grp.h, grp.identity, list(grp.invariants),
+                         [list(grp.coords(f)) for f in grp.classes]])
+    assert len(rows) == 305
+    assert ClassGroup(-840).structure_label() == "C2 x C2 x C2"
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == STRUCTURE_DIGEST
 
 
 def test_bessel_coeff_sum_equals_per_class_inverse():

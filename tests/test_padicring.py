@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 import random
 import re
@@ -467,10 +469,31 @@ def test_smith_normal_form_matches_reference():
         assert smith_normal_form(m) == _smith_reference(m), m
 
 
+# Digest of (diag, U, V) for 2,000 seeded matrices, recorded from the
+# elimination with separate U and V matrices before U and V were carried
+# inside its rows: the same operations in the same order give the same bits.
+SMITH_DIGEST = "e524dafe7aeb81d9c4c6302b920ec68233178380d2ecde991298db0f9c413654"
+
+
+def test_smith_normal_form_digest():
+    rng = random.Random(2100)
+    out = []
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 7)
+        m = [[0 if rng.random() < 0.2 else rng.randint(-30, 30) for _ in range(cols)]
+             for _ in range(rows)]
+        out.append(list(smith_normal_form(m)))
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == SMITH_DIGEST
+
+
 def test_smith_2x2_rejects_ragged_rows():
     for m in ([[2, 7], [4]], [[2, 7], [4, 9, 1]], [[2], [4, 9]], [[2, 7]]):
         with pytest.raises(ValueError, match="expected a 2x2 matrix"):
             smith_form_2x2(m)
+    # U rides in the rows of the matrix, so a ragged row would corrupt it
+    for m in ([[2, 7], [4]], [[2, 7], [4, 9, 1]], [[2], [4, 9]], [[3, 5, 7], [2]]):
+        with pytest.raises(ValueError, match="expected a rectangular matrix"):
+            smith_normal_form(m)
 
 
 def test_factorization_helpers_against_brute_force():
