@@ -5,10 +5,11 @@ import random
 
 from besselzeta import ClassChar, ClassGroup, QuadForm, bessel_coeff_sum, reduce_form, t_theta
 
-# reduction with an explicit SL_2(Z) witness
+# reduction to the reduced representative, which every form of the class shares
 f = QuadForm(6, 1, 1)
-g, m = reduce_form(f)
-print(f"{f} reduces to {g} via {m}; check:", f.transform(m) == g)
+g = reduce_form(f)
+m = ((2, 1), (1, 1))
+print(f"{f} reduces to {g}; so does f.transform({m}):", reduce_form(f.transform(m)) == g)
 
 # the class groups behind the worked discriminants
 for d in (-3, -4, -23, -47):

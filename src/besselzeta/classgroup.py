@@ -70,42 +70,25 @@ class QuadForm:
         return f"QuadForm({self.a}, {self.b}, {self.c})"
 
 
-def _mat_mul(m1, m2):
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-_IDENT = ((1, 0), (0, 1))
-_S = ((0, -1), (1, 0))
-
-
-def reduce_form(f: QuadForm):
-    """Reduced representative of the SL_2(Z)-class of f, with a witness.
-
-    Returns (g, m) where m is in SL_2(Z) and f.transform(m) == g.
-    """
+def reduce_form(f: QuadForm) -> QuadForm:
+    """Reduced representative of the SL_2(Z)-class of f."""
     if not f.is_positive_definite():
         raise ValueError("reduction needs a positive definite form")
     a, b, c = f.a, f.b, f.c
-    m = _IDENT
     while True:
         if a > c:
             a, b, c = c, -b, a
-            m = _mat_mul(m, _S)
             continue
         if b > a or b <= -a:
             # translate b into (-a, a]
             k = (a - b) // (2 * a)
             a, b, c = a, b + 2 * k * a, a * k * k + b * k + c
-            m = _mat_mul(m, ((1, k), (0, 1)))
             continue
         if b < 0 and a == c:
             a, b, c = c, -b, a
-            m = _mat_mul(m, _S)
             continue
         break
-    return QuadForm(a, b, c), m
+    return QuadForm(a, b, c)
 
 
 def is_fundamental(d: int) -> bool:
@@ -176,6 +159,8 @@ def compose_forms(f: QuadForm, g: QuadForm) -> QuadForm:
         raise ValueError("cannot compose forms of different discriminants")
     if not (f.is_primitive() and g.is_primitive()):
         raise ValueError("composition needs primitive forms")
+    if not (f.is_positive_definite() and g.is_positive_definite()):
+        raise ValueError("composition needs positive definite forms")
     a1, a2 = f.a, g.a
     s = (f.b + g.b) // 2
     d = math.gcd(a1, a2)
@@ -188,7 +173,7 @@ def compose_forms(f: QuadForm, g: QuadForm) -> QuadForm:
     v1, v2 = a1 // d1, a2 // d1
     r = (y1 * y2 * (g.b - s) - x2 * g.c) % v1
     a3, b3 = v1 * v2, g.b + 2 * v2 * r
-    return reduce_form(QuadForm(a3, b3, (b3 * b3 - f.disc) // (4 * a3)))[0]
+    return reduce_form(QuadForm(a3, b3, (b3 * b3 - f.disc) // (4 * a3)))
 
 
 class ClassGroup:
@@ -212,7 +197,7 @@ class ClassGroup:
             )
             for f in self.classes
         )
-        self.identity = self._index[reduce_form(t_theta_principal(d))[0]]
+        self.identity = self._index[reduce_form(t_theta_principal(d))]
         self._build_structure()
 
     @property
@@ -220,7 +205,7 @@ class ClassGroup:
         return unit_count(self.D)
 
     def index(self, f: QuadForm) -> int:
-        g = f if f.is_reduced() else reduce_form(f)[0]
+        g = f if f.is_reduced() else reduce_form(f)
         try:
             return self._index[g]
         except KeyError:

@@ -7,14 +7,18 @@ equal, byte for byte, its entry in the benchmark's golden
 """
 
 import json
+import math
 import os
 import time
 from pathlib import Path
 
 import pytest
 
+from besselzeta import globalasm as ga
+from besselzeta import localzeta as lz
+from besselzeta import suites
 from besselzeta.suites import RUNTIME_LIMITS, SUITES, _equal_forms_case, run_suite
-from besselzeta.symfield import RF_ZERO, rf_var
+from besselzeta.symfield import RF_ZERO, RatFunc, rf_var
 
 GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "verify_all.seed831.json"
 EXACT_SUITES = ("case1", "case4", "case56_periods", "y_eta", "classgroup")
@@ -63,3 +67,58 @@ def test_two_zero_forms_do_not_pass():
     t = rf_var("T")
     assert _equal_forms_case("c", "i", "e", t, t, "PAPER")["pass"] is True
     assert _equal_forms_case("c", "i", "e", t, RF_ZERO, "PAPER")["actual"] == "DIFFERENT"
+    two = RatFunc.const(2)
+    case = _equal_forms_case("c", "i", "e", two, two, "PAPER")
+    assert case["pass"] is False and case["actual"] == "both free of T"
+
+
+def _verdicts(report, prefix):
+    return {c["id"]: c["pass"] for c in report["cases"] if c["id"].startswith(prefix)}
+
+
+def test_case1_both_sides_zero_does_not_pass(monkeypatch):
+    monkeypatch.setattr(lz, "zeta_case1", lambda rep, tw: RF_ZERO)
+    monkeypatch.setattr(suites, "shift_half", lambda value: RF_ZERO)
+    verdicts = _verdicts(suites.suite_case1(), "case1-I")
+    assert verdicts == {"case1-I": False, "case1-IIb": False}
+
+
+def test_period_both_sides_zero_does_not_pass(monkeypatch):
+    # type I only, so that the IIIa / VIb ratio still has a nonzero divisor
+    def collapse(route):
+        return lambda rep, tw: RF_ZERO if rep.tag == "I" else route(rep, tw)
+
+    monkeypatch.setattr(lz, "local_period", collapse(lz.local_period))
+    monkeypatch.setattr(lz, "local_period_closed", collapse(lz.local_period_closed))
+    verdicts = _verdicts(suites.suite_case56_periods(), "period-")
+    assert verdicts["period-I"] is False
+    assert all(verdicts[f"period-{tag}"] for tag in ("IIb", "IIIa", "VIb"))
+
+
+def test_case4_constant_normalized_value_does_not_pass(monkeypatch):
+    # closed form = series = the spinor L-factor itself, so the normalized
+    # value is the constant 1, which inversion cannot move
+    def spin(rep, tw):
+        return (suites.shift_half(suites.spinor_lfactor(rep, tw)),)
+
+    monkeypatch.setattr(lz, "zeta_case4", spin)
+    monkeypatch.setattr(lz, "zeta_case4_series", spin)
+    report = suites.suite_case4()
+    assert {c["id"]: (c["pass"], c["actual"]) for c in report["cases"]} == {
+        "case4-I-B1": (True, "equal"),
+        "case4-I-B1-inv": (False, "free of T"),
+        "case4-IIb-B1": (True, "equal"),
+        "case4-IIb-B1-inv": (False, "free of T"),
+    }
+
+
+def test_arch_pin_with_a_wrong_constant_does_not_pass(monkeypatch):
+    # a pin whose c is 2 pi / sqrt|d| agrees with itself; the suite's own
+    # closed form with c = 2 pi sqrt|d| must catch it
+    def wrong_pin(sigma, d):
+        c = 2 * math.pi / math.sqrt(abs(d))
+        value = math.gamma(sigma) * c**-sigma
+        return {"integral": value, "closed": value, "rel_err": 0.0}
+
+    monkeypatch.setattr(ga, "mellin_gamma_pin", wrong_pin)
+    assert not any(c["pass"] for c in suites.suite_arch()["cases"])

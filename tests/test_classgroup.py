@@ -26,33 +26,35 @@ LISTED = (-3, -4, -7, -8, -11, -15, -20, -23, -47)
 
 
 def test_reduction_pins():
-    f, m = reduce_form(QuadForm(1, 1, 6))
-    assert f == QuadForm(1, 1, 6) and m == ((1, 0), (0, 1))
-    f, m = reduce_form(QuadForm(6, 1, 1))
-    assert f == QuadForm(1, 1, 6)
-    assert QuadForm(6, 1, 1).transform(m) == f
-    f, m = reduce_form(QuadForm(3, 5, 3))  # D = -11
-    assert f == QuadForm(1, 1, 3)
-    assert QuadForm(3, 5, 3).transform(m) == f
+    assert reduce_form(QuadForm(1, 1, 6)) == QuadForm(1, 1, 6)
+    assert reduce_form(QuadForm(6, 1, 1)) == QuadForm(1, 1, 6)
+    assert reduce_form(QuadForm(3, 5, 3)) == QuadForm(1, 1, 3)  # D = -11
     assert reduced_forms(-11) == [QuadForm(1, 1, 3)]  # exhaustive table
     with pytest.raises(ValueError):
         reduce_form(QuadForm(-1, 0, 1))
 
 
-def test_reduction_witness_random():
-    rng = random.Random(21)
-    for _ in range(200):
-        a = rng.randint(1, 30)
-        b = rng.randint(-30, 30)
-        cmin = (b * b) // (4 * a) + 1
-        c = cmin + rng.randint(0, 20)
-        f = QuadForm(a, b, c)
-        if f.disc >= 0:
+def _random_sl2z(rng):
+    # a product of 1 to 6 factors, each S or T^k with |k| <= 5
+    m = ((1, 0), (0, 1))
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randint(-5, 5)
+        (p, q), (r, s) = m
+        (e, f), (g, h) = ((0, -1), (1, 0)) if rng.random() < 0.5 else ((1, k), (0, 1))
+        m = ((p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h))
+    return m
+
+
+def test_reduction_is_canonical_on_each_class():
+    # every form SL_2(Z)-equivalent to a reduced form reduces back to it,
+    # which is what makes the reduced form a class label
+    rng = random.Random(22)
+    for d in range(-3, -400, -1):
+        if not is_fundamental(d):
             continue
-        g, m = reduce_form(f)
-        assert g.is_reduced()
-        assert f.transform(m) == g
-        assert g.disc == f.disc
+        for g in reduced_forms(d):
+            for _ in range(20):
+                assert reduce_form(g.transform(_random_sl2z(rng))) == g, (d, g)
 
 
 def test_enumeration_pins():
@@ -100,6 +102,16 @@ def test_composition_pins():
     assert grp.compose(QuadForm(2, 1, 3), QuadForm(2, 1, 3)) == QuadForm(2, -1, 3)
     with pytest.raises(ValueError):
         compose_forms(QuadForm(1, 1, 6), QuadForm(1, 0, 1))  # discriminant mismatch
+
+
+@pytest.mark.parametrize("f,g", [
+    (QuadForm(0, 1, 0), QuadForm(0, 1, 0)),
+    (QuadForm(0, 1, 0), QuadForm(1, 1, 0)),
+    (QuadForm(1, 1, 6), QuadForm(-1, 1, -6)),
+])
+def test_composition_needs_positive_definite_forms(f, g):
+    with pytest.raises(ValueError, match="composition needs positive definite forms"):
+        compose_forms(f, g)
 
 
 # -- independent ideal-arithmetic oracle -----------------------------------
@@ -176,7 +188,7 @@ def _module_to_form(n, lead, d):
     aa = n * n // norm_ideal
     bb = -n * (2 * b + g * w_tr) // norm_ideal
     cc = nb // norm_ideal
-    return reduce_form(QuadForm(aa, bb, cc))[0]
+    return reduce_form(QuadForm(aa, bb, cc))
 
 
 def _ideal_compose(f1, f2):
@@ -367,7 +379,7 @@ def _parent_compose_forms(f: QuadForm, g: QuadForm) -> QuadForm:
     cc_num = bb * bb - f.disc
     assert cc_num % (4 * a1 * a2) == 0
     composed = QuadForm(a1 * a2, bb, cc_num // (4 * a1 * a2))
-    return reduce_form(composed)[0]
+    return reduce_form(composed)
 
 
 def _parent_equivalent_with_coprime_lead(g: QuadForm, n: int) -> QuadForm:
