@@ -34,10 +34,6 @@ SCHEMA = "1"
 def _jsonable(x):
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, RatFunc):
-        return x.to_text()
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

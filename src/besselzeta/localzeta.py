@@ -153,12 +153,14 @@ def _require_trivial_cc(rep: LocalRep, what: str):
         raise ValueError(f"{what} requires trivial central character")
 
 
-# Memoized alone among the symbolic functions.  A memo hands every caller
-# the first caller's objects, and equal RatFuncs may store their terms in
-# different orders, which moves evaluate() floats in their last digits.  The
-# series row is never evaluated numerically, only combined exactly and
-# printed in sorted text, so sharing it is safe; hecke_matrices and _over_l
-# are evaluated (t_factor, diag_values_numeric, local_period) and stay
+# Memoized: one `verify --suite all` makes 7 calls on 5 systems, so 2 hit.
+# Besides symfield._ring_for (sympy rings per variable tuple), it is the
+# one memo on the symbolic path.  A memo hands every caller the first
+# caller's objects, and equal RatFuncs may store their terms in different
+# orders, which moves evaluate() floats in their last digits.  The series
+# row is never evaluated numerically, only combined exactly and printed in
+# sorted text, so sharing it is safe; hecke_matrices and _over_l are
+# evaluated (t_factor, diag_values_numeric, local_period) and stay
 # unmemoized.
 @lru_cache(maxsize=16)
 def _series_linear_forms(rep: LocalRep, x: RatFunc):

@@ -564,36 +564,28 @@ def y_eta_check(setup: BesselSetup, b2: int, b3: int, e: int) -> dict:
     tr_ys = sum(y[i][0] * s_mat[0][i] + y[i][1] * s_mat[1][i] for i in range(2))
     trace_ok = tr_ys == Fraction(a**2 * d, 2)
     v = Fraction(a**6 * d, 4) + n_eta
-    if v == 0:
-        # the lemma's hypothesis (a^6 d/4 + N(eta) in pi^j o^*) fails for
-        # this lift; the determinant and trace identities still stand
-        return {
-            "det_identity": det_ok,
-            "trace_identity": trace_ok,
-            "j": None,
-            "j_raw": None,
-            "elementary_divisors": None,
-            "smith_p_part": None,
-            "hypothesis_holds": False,
-            "ok": det_ok and trace_ok,
-        }
-    j_raw = ord_p(v, p)
-    # clear denominators by a p-unit and take the integer Smith form
-    mult = math.lcm(*(entry.denominator for row in y for entry in row))
-    if mult % p == 0:
-        raise RuntimeError("denominator not prime to p; setup violated")
-    m_int = [[int(entry * mult) for entry in row] for row in y]
-    d1, d2, U, V = smith_form_2x2(m_int)
-    smith_ok = ord_p(Fraction(d1), p) == 0 and ord_p(Fraction(d2), p) == j_raw
+    # at v = 0 the lemma's hypothesis (a^6 d/4 + N(eta) in pi^j o^*) fails
+    # for this lift, and only the determinant and trace identities stand
+    j_raw = divisors = smith_ok = None
+    if v:
+        j_raw = ord_p(v, p)
+        # clear denominators by a p-unit and take the integer Smith form
+        mult = math.lcm(*(entry.denominator for row in y for entry in row))
+        if mult % p == 0:
+            raise RuntimeError("denominator not prime to p; setup violated")
+        m_int = [[int(entry * mult) for entry in row] for row in y]
+        d1, d2, _, _ = smith_form_2x2(m_int)
+        divisors = (d1, d2)
+        smith_ok = ord_p(Fraction(d1), p) == 0 and ord_p(Fraction(d2), p) == j_raw
     return {
         "det_identity": det_ok,
         "trace_identity": trace_ok,
-        "j": min(j_raw, e),
+        "j": None if j_raw is None else min(j_raw, e),
         "j_raw": j_raw,
-        "elementary_divisors": (d1, d2),
+        "elementary_divisors": divisors,
         "smith_p_part": smith_ok,
-        "hypothesis_holds": True,
-        "ok": det_ok and trace_ok and smith_ok,
+        "hypothesis_holds": v != 0,
+        "ok": det_ok and trace_ok and (v == 0 or smith_ok),
     }
 
 
@@ -654,6 +646,10 @@ def zeta_case2_3_cosets(
     so a repeated key gets the very float its first sum gave; likewise a
     Weyl coset's inner sum depends on eta only through the valuation v it
     reduces to.  Nothing is kept between calls.
+
+    A Weyl coset's v = a^6 d/4 + N(eta) is p-integral, and when v = 0 or
+    ord_p(v) > e its lift v + p^e has valuation exactly e, the smaller of
+    the two summands' valuations.
     """
     p = setup.p
     d, a_s = setup.disc, setup.a
@@ -706,13 +702,7 @@ def zeta_case2_3_cosets(
         for b3 in range(pe):
             v = Fraction(a_s**6 * d, 4) + setup.norm_basis(b2, b3)
             if v == 0 or ord_p(v, p) > e:
-                # choose the lift of eta putting the valuation exactly at e
-                v = next(
-                    cand
-                    for t in range(1, p + 1)
-                    for cand in (v + Fraction(pe * t),)
-                    if ord_p(cand, p) == e
-                )
+                v += pe  # the lift of eta putting the valuation exactly at e
             acc = inner.get(v)
             if acc is None:
                 j = ord_p(v, p)

@@ -85,7 +85,7 @@ class LaurentPoly:
     RatFuncs.
     """
 
-    __slots__ = ("names", "terms", "_hash")
+    __slots__ = ("names", "terms")
 
     def __init__(self, names: tuple, terms: Mapping[tuple, int]):
         if (any(map(operator.ge, names, names[1:]))
@@ -100,7 +100,6 @@ class LaurentPoly:
             names = tuple(compress(names, used))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -208,11 +207,7 @@ class LaurentPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.names, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.names, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"LaurentPoly({poly_text(self)!r})"
@@ -367,7 +362,7 @@ class RatFunc:
     have no common polynomial factor, so the gcd is skipped.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE, *, _coprime=False):
         if den.is_zero:
@@ -375,7 +370,6 @@ class RatFunc:
         num, den = _canonicalize(num, den, _coprime)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
@@ -483,11 +477,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.num, self.den))
 
     # -- substitution and evaluation ------------------------------------
     def subst(self, bindings: Mapping[str, "RatFunc"]) -> "RatFunc":

@@ -16,6 +16,7 @@ import pytest
 
 from besselzeta import globalasm as ga
 from besselzeta import localzeta as lz
+from besselzeta import padicring as pr
 from besselzeta import suites
 from besselzeta.suites import RUNTIME_LIMITS, SUITES, _equal_forms_case, run_suite
 from besselzeta.symfield import RF_ZERO, RatFunc, rf_var
@@ -122,3 +123,30 @@ def test_arch_pin_with_a_wrong_constant_does_not_pass(monkeypatch):
 
     monkeypatch.setattr(ga, "mellin_gamma_pin", wrong_pin)
     assert not any(c["pass"] for c in suites.suite_arch()["cases"])
+
+
+def test_y_eta_rejected_config_raises(monkeypatch):
+    # a config that stops being valid is an error, not fewer instances
+    real = pr.BesselSetup
+
+    def reject(a, b, c, p):
+        if (a, b, c, p) == (1, 2, 3, 5):
+            raise ValueError("rejected config")
+        return real(a, b, c, p)
+
+    monkeypatch.setattr(pr, "BesselSetup", reject)
+    with pytest.raises(ValueError, match="rejected config"):
+        suites.suite_y_eta()
+
+
+def test_case23_doubled_closed_form_does_not_pass(monkeypatch):
+    # Z_phi doubled: the oracle check raises, the epsilon ratio halves
+    real = pr.zeta_case2_3_closed
+
+    def doubled(*args, **kwargs):
+        z_phi, z_phi_hat = real(*args, **kwargs)
+        return 2 * z_phi, z_phi_hat
+
+    monkeypatch.setattr(pr, "zeta_case2_3_closed", doubled)
+    verdicts = _verdicts(suites.suite_case23(), "case23-")
+    assert len(verdicts) == 4 and not any(verdicts.values())

@@ -281,6 +281,19 @@ def test_y_eta_spec_examples():
     assert ord_p(Fraction(rep["elementary_divisors"][1]), 5) == 1
 
 
+def test_y_eta_degenerate_lift_keeps_the_identities():
+    # v = a^6 d/4 + N(eta) = 0 fails the Smith claim's hypothesis, while
+    # the determinant and trace identities still hold
+    setup = BesselSetup(1, 0, 1, 3)
+    eta = next((b2, b3) for b2 in range(3) for b3 in range(3)
+               if Fraction(-1) + setup.norm_basis(b2, b3) == 0)
+    assert list(y_eta_check(setup, *eta, 1).items()) == [
+        ("det_identity", True), ("trace_identity", True), ("j", None),
+        ("j_raw", None), ("elementary_divisors", None), ("smith_p_part", None),
+        ("hypothesis_holds", False), ("ok", True),
+    ]
+
+
 def test_y_eta_trace_pin_exact():
     for args in ((1, 0, 1, 5), (1, 1, 1, 5), (3, 1, 1, 7)):
         setup = BesselSetup(*args)
@@ -688,6 +701,32 @@ def test_coset_oracle_equals_parent_code(abc, p, e):
             got = zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
             want = _parent_zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
             assert got == want, (abc, p, e, mu, u, s)
+
+
+def test_weyl_lift_has_valuation_e():
+    # the oracle lifts v = 0, or v with ord_p(v) > e, to v + p^e
+    rng = random.Random(23)
+    for p in (3, 5, 7):
+        for e in (1, 2, 3):
+            for _ in range(20):
+                w = rng.choice([x for x in range(-60, 61) if x % p])
+                k = rng.randint(1, 3)
+                for v in (Fraction(0), Fraction(p ** (e + k) * w, 4)):
+                    assert ord_p(v + p**e, p) == e
+
+
+def test_oracle_grid_meets_lifted_cosets():
+    """The grid of test_coset_oracle_equals_parent_code reaches both kinds
+    of lifted Weyl coset, v = 0 and ord_p(v) > e, so the lift is pinned."""
+    kinds = set()
+    for abc, p, e in ORACLE_SETUPS:
+        setup = BesselSetup(*abc, p)
+        for b2 in range(p**e):
+            for b3 in range(p**e):
+                v = Fraction(setup.a**6 * setup.disc, 4) + setup.norm_basis(b2, b3)
+                if v == 0 or ord_p(v, p) > e:
+                    kinds.add(v == 0)
+    assert kinds == {True, False}
 
 
 def test_coset_oracle_sums_each_key_once_per_call(monkeypatch):

@@ -124,6 +124,24 @@ def test_canonical_form_factored_vs_expanded():
     assert hash(factored) == hash(expanded)
 
 
+def test_hash_of_equal_ratfuncs_built_in_other_term_orders():
+    f = (T + A) * (Q - 1) / (Q + 1)
+    g = (Q * A - A + Q * T - T) / (1 + Q)
+    assert list(f.num.terms) != list(g.num.terms) and f == g
+    # no hash is memoized, so the second call recomputes it
+    for _ in range(2):
+        assert hash(f) == hash(g)
+
+
+def test_equality_with_numbers_and_coercion():
+    assert RatFunc.const(2) == 2 and RF_ONE / 2 == Fraction(1, 2)
+    assert RF_ONE / 2 != 2 and T != 2
+    # a value that is no number is unequal, not an error
+    assert (T == "T") is False and (T == None) is False  # noqa: E711
+    poly = LaurentPoly(("T",), {(1,): 1, (0,): -1})
+    assert RatFunc.coerce(poly) == T - 1
+
+
 def test_denominator_sign_normalized():
     f = RF_ONE / (RF_ONE - T)   # den -T + 1 vs T - 1
     g = -RF_ONE / (T - RF_ONE)
