@@ -31,19 +31,14 @@ from .symfield import RatFunc, rf_var
 SCHEMA = "1"
 
 
-def _jsonable(x):
+def _complex_json(x):
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+    return json.JSONEncoder().default(x)  # json's own TypeError
 
 
 def _emit(doc: dict) -> None:
-    doc = {"schema": SCHEMA, **doc}
-    json.dump(_jsonable(doc), sys.stdout, indent=2)
+    json.dump({"schema": SCHEMA, **doc}, sys.stdout, indent=2, default=_complex_json)
     sys.stdout.write("\n")
 
 
@@ -75,6 +70,11 @@ def cmd_verify(args) -> int:
             print(f"unknown suite {n!r}; known: all, {', '.join(suites.SUITES)}",
                   file=sys.stderr)
             return 2
+    try:
+        suites._seed()  # a bad BZ_SEED is a usage error, not a failed check
+    except ValueError as exc:
+        print(f"besselzeta verify: error: {exc}", file=sys.stderr)
+        return 2
     reports = [suites.run_suite(n) for n in names]
     ok = all(r["ok"] for r in reports)
     _emit(

@@ -21,8 +21,8 @@ import mpmath
 
 from .classgroup import is_fundamental, unit_count
 from .localrep import spinor_lfactor
-from .padicring import (MultChar, ResidueRing, factorize, gauss_sum_F,
-                        is_squarefree, legendre)
+from .padicring import (MultChar, ResidueRing, _unit_char_sum, factorize,
+                        gauss_sum_F, is_squarefree, legendre)
 
 _TWO_PI = 2 * math.pi
 
@@ -221,8 +221,7 @@ class DirichletChar:
             if comp.conductor == comp.ring.e:
                 local = q**0.5 * gauss_sum_F(comp, 1.0)
             else:
-                psi = comp.ring._roots(q)
-                local = sum(comp(a) * psi[a] for a in comp.ring.units())
+                local = _unit_char_sum(comp, q, 1)
             total *= comp(cofactor % q) * local
         return total
 

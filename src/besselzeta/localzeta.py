@@ -237,14 +237,6 @@ def zeta_case1(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
     return mu_l_lfactor(twist) * _diag_series(rep, x0)
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), RF_ZERO)
-
-
-def _column(m: RatMatrix, j: int) -> list:
-    return [m[i, j] for i in range(m.rows)]
-
-
 # the types of each case, and the subject of their error messages
 _CASES = {
     "1": (SPHERICAL_TAGS, "case 1 needs"),
@@ -284,11 +276,10 @@ def _over_l(rep: LocalRep, twist: TwistData, case: str | None = None) -> tuple:
         b = bessel_identity_values(rep)
         tr = _hecke_trace(pair, _Q**-2)
         coeff = twist.u.inv() * qs1 + twist.u * (_T * _Q**2) - tr
-        return tuple(
-            (_dot(b, _column(pair.eta, i)) + _Q**-2 * _dot(b, _column(pair.t10, i))
-             + coeff * b[i]) / (_Q**4 + 1)
-            for i in range(len(b))
-        )
+        b_row = RatMatrix([b])
+        b_eta, b_t10 = (b_row * pair.eta).entries[0], (b_row * pair.t10).entries[0]
+        return tuple((e + _Q**-2 * t + coeff * v) / (_Q**4 + 1)
+                     for e, t, v in zip(b_eta, b_t10, b))
     lead = twist.lam.inv() * twist.u.inv() * qs1 / (_Q**4 + 1)
     return tuple(lead * v for v in bessel_identity_values(rep))
 
@@ -307,10 +298,8 @@ def _series(rep: LocalRep, twist: TwistData, case: str) -> tuple:
     row, pair = _series_linear_forms(rep, twist.u * _T * _Q**2)
     head = _T.inv() * _Q**2 * twist.lam.inv() * twist.u.inv()
     mu_l = mu_l_lfactor(twist)
-    return tuple(
-        mu_l * (_dot(row, _column(pair.eta, i)) + head * row[i]) / (_Q**4 + 1)
-        for i in range(len(row))
-    )
+    row_eta = (RatMatrix([row]) * pair.eta).entries[0]
+    return tuple(mu_l * (e + head * v) / (_Q**4 + 1) for e, v in zip(row_eta, row))
 
 
 def zeta_case4(rep: LocalRep, twist: TwistData) -> tuple:

@@ -8,7 +8,8 @@ modulo the unit-group order, an additive character's p-adic residue
 modulo p^k.  Each ring keeps, per modulus n it meets, a table of
 exp(2 pi i j / n) built on first use, and the sums index those tables by
 exponent; floats enter only as those table entries and as the running
-sums, which are compared at tolerance 1e-9 or better.
+sums, which are compared at 1e-9 (the character-sum lemmas) or at 1e-8
+times max(1, |closed form|) (the coset-sum oracle).
 
 The Galois ring GR(p^e, 2) is realized as Z/p^e[x]/(x^2 - c) with c a
 quadratic non-residue mod p; the nontrivial automorphism is x -> -x, so
@@ -293,11 +294,7 @@ def gauss_sum_F(mu: MultChar, pi_choice: complex = 1.0) -> complex:
             "conductor character"
         )
     pe = ring.modulus
-    psi, values = ring._roots(pe), mu._values
-    total = 0j
-    for a in ring.units():
-        total += psi[a] * values[a]
-    return pe ** -0.5 * pi_choice ** (-ring.e) * total
+    return pe ** -0.5 * pi_choice ** (-ring.e) * _unit_char_sum(mu, pe, 1)
 
 
 def unit_psi_mu_integral(mu: MultChar, n: int, scale: Fraction = Fraction(1)) -> complex:
@@ -320,21 +317,28 @@ def _unit_integral_key(p: int, n: int, scale: Fraction) -> tuple:
 
 
 def _unit_integral_sum(mu: MultChar, pk: int, r0: int) -> complex:
-    """The unit integral with {x}_p = r0 / p^k, summed over the units
-    modulo p^K, K = max(e, k, 1).
+    """The unit integral with {x}_p = r0 / p^k: the character sum over the
+    units modulo p^K, K = max(e, k, 1), divided by their count."""
+    p = mu.ring.p
+    pK = max(mu.ring.modulus, pk, p)
+    return _unit_char_sum(mu, pk, r0) / (pK - pK // p)
 
-    The term at a unit a is psi(x a) = exp(2 pi i (r0 a mod p^k) / p^k): a
-    is prime to p, so it leaves the p-part of the denominator unchanged.
+
+def _unit_char_sum(mu: MultChar, pk: int, r0: int) -> complex:
+    """sum psi(r0 a / p^k) mu(a) over the units a modulo p^K, K = max(e, k, 1),
+    in increasing order of a.
+
+    The term at a unit a is psi(r0 a / p^k) = exp(2 pi i (r0 a mod p^k) / p^k):
+    a is prime to p, so it leaves the p-part of the denominator unchanged.
     """
     ring = mu.ring
     p, pe = ring.p, ring.modulus
-    pK = max(pe, pk, p)
     psi, values = ring._roots(pk), mu._values
     total = 0j
-    for a in range(1, pK):
+    for a in range(1, max(pe, pk, p)):
         if a % p:
             total += psi[r0 * a % pk] * values[a % pe]
-    return total / (pK - pK // p)
+    return total
 
 
 def gauss_sum_lemma_value(mu: MultChar, n: int, pi_choice: complex = 1.0) -> complex:
@@ -731,7 +735,7 @@ def zeta_case2_3_numeric(
     """Closed forms and coset-sum oracle for the ramified-twist integrals.
 
     Returns both routes and their absolute differences; raises if the
-    routes disagree beyond ``tol``.
+    routes disagree beyond ``tol`` times max(1, |closed form|).
     """
     closed = zeta_case2_3_closed(setup, e, mu, pi_choice, s, lam)
     oracle = zeta_case2_3_cosets(setup, e, mu, pi_choice, s, bessel_diag, lam)

@@ -399,9 +399,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
-
     def const_value(self) -> Fraction:
         return Fraction(self.num.const_value(), self.den.const_value())
 
@@ -646,35 +643,23 @@ class RatMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def _check_same_shape(self, other):
+    def _entrywise(self, op, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shape mismatch")
+        return RatMatrix([[op(a, b) for a, b in zip(row, other_row)]
+                          for row, other_row in zip(self.entries, other.entries)])
+
+    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._entrywise(operator.add, other)
+
+    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._entrywise(operator.sub, other)
 
     def scale(self, c) -> "RatMatrix":
         c = RatFunc.coerce(c)
         return RatMatrix([[e * c for e in row] for row in self.entries])
 
-    def __mul__(self, other):
-        if not isinstance(other, RatMatrix):
-            return self.scale(other)
+    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
         return RatMatrix(
@@ -741,18 +726,12 @@ class RatMatrix:
         """Exact inverse, solve(identity)."""
         return self.solve(RatMatrix.identity(self.rows))
 
-    def subst(self, bindings) -> "RatMatrix":
-        return RatMatrix([[e.subst(bindings) for e in row] for row in self.entries])
-
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
             and (self.rows, self.cols) == (other.rows, other.cols)
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         body = "; ".join(

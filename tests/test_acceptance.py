@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from besselzeta import classgroup as cg
 from besselzeta import globalasm as ga
 from besselzeta import localzeta as lz
 from besselzeta import padicring as pr
@@ -150,3 +151,24 @@ def test_case23_doubled_closed_form_does_not_pass(monkeypatch):
     monkeypatch.setattr(pr, "zeta_case2_3_closed", doubled)
     verdicts = _verdicts(suites.suite_case23(), "case23-")
     assert len(verdicts) == 4 and not any(verdicts.values())
+
+
+CLASSGROUP_IDS = ("h(-3)", "h(-4)", "h(-23)", "h(-47)", "group-axioms", "bessel-conj-sign")
+
+
+# the first breaks the identity and inverse axioms, the second the identity
+# and associativity axioms
+@pytest.mark.parametrize("broken", [
+    lambda compose: lambda grp, f, g: f,
+    lambda compose: lambda grp, f, g: grp.conjugate_class(compose(grp, f, g)),
+], ids=["first-argument", "conjugated-product"])
+def test_classgroup_broken_composition_fails_the_axioms(monkeypatch, broken):
+    monkeypatch.setattr(cg.ClassGroup, "compose", broken(cg.ClassGroup.compose))
+    verdicts = _verdicts(suites.suite_classgroup(), "")
+    assert verdicts == {cid: cid != "group-axioms" for cid in CLASSGROUP_IDS}
+
+
+def test_classgroup_self_conjugate_characters_fail_the_sign_law(monkeypatch):
+    monkeypatch.setattr(cg.ClassChar, "conjugate", lambda self: self)
+    verdicts = _verdicts(suites.suite_classgroup(), "")
+    assert verdicts == {cid: cid != "bessel-conj-sign" for cid in CLASSGROUP_IDS}

@@ -102,6 +102,8 @@ def test_composition_pins():
     assert grp.compose(QuadForm(2, 1, 3), QuadForm(2, 1, 3)) == QuadForm(2, -1, 3)
     with pytest.raises(ValueError):
         compose_forms(QuadForm(1, 1, 6), QuadForm(1, 0, 1))  # discriminant mismatch
+    with pytest.raises(ValueError, match="not a primitive form of discriminant -23"):
+        grp.index(QuadForm(1, 1, 1))  # discriminant -3
 
 
 @pytest.mark.parametrize("f,g", [

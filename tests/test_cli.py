@@ -53,6 +53,20 @@ def test_seed_in_report(monkeypatch):
     assert json.loads(out)["suites"][0]["seed"] == 12345
 
 
+def test_non_integer_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("BZ_SEED", "abc")
+    code, out = _run(["verify", "--suite", "case1"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "BZ_SEED" in err
+    # an integer seed may carry surrounding spaces
+    monkeypatch.setenv("BZ_SEED", " 502 ")
+    spaced = _run(["verify", "--suite", "y_eta"])
+    monkeypatch.setenv("BZ_SEED", "502")
+    assert spaced == _run(["verify", "--suite", "y_eta"])
+    assert json.loads(spaced[1])["suites"][0]["seed"] == 502
+
+
 def test_classgroup_command():
     code, out = _run(["classgroup", "--D", "-23"])
     assert code == 0

@@ -57,6 +57,25 @@ def test_hecke_matrix_pins():
     assert pair.eta[1, 0] == A * G and pair.eta[0, 1] == G
 
 
+def _stored(f):
+    return [(p.names, list(p.terms.items())) for p in (f.num, f.den)]
+
+
+@pytest.mark.parametrize("tag", ("I", "IIb", "IIIa", "VIb"))
+def test_row_times_hecke_matrix_keeps_the_dot_product_term_order(tag):
+    # the closed forms and series take b^T M as a one-row matrix product;
+    # it must store what the per-column sum starting from RF_ZERO stored
+    rep = LocalRep.symbolic_trivial(tag)
+    pair = hecke_matrices(rep)
+    row, _ = lz._series_linear_forms(rep, U * T * Q**2)
+    for b in (bessel_identity_values(rep), row):
+        for m in (pair.eta, pair.t10):
+            got = (RatMatrix([b]) * m).entries[0]
+            for j in range(m.cols):
+                want = sum((b[k] * m[k, j] for k in range(m.rows)), RF_ZERO)
+                assert _stored(got[j]) == _stored(want), (tag, j)
+
+
 def test_eta_squared_is_identity_for_trivial_central_character():
     for tag in ("I", "IIb"):
         rep = LocalRep.symbolic_trivial(tag)

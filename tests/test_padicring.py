@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from besselzeta.globalasm import DirichletChar
 from besselzeta.localrep import LocalRep
 from besselzeta.localzeta import diag_values_numeric
 from besselzeta.padicring import (
@@ -52,6 +54,18 @@ def test_residue_ring_basics():
         ResidueRing(2, 1)
     with pytest.raises(ValueError):
         ResidueRing(9, 1)
+
+
+def test_generator_lift_mod_p_squared():
+    # 5 is the least primitive root mod 40487 and 5^(p-1) = 1 mod p^2, so
+    # the generator mod p^2 is 5 + p; the unit tables of a ring that size
+    # are out of reach, so the search runs on a bare instance
+    p = 40487
+    ring = object.__new__(ResidueRing)
+    ring.p, ring.e, ring.modulus = p, 2, p * p
+    g = ring._find_generator()
+    assert g == 5 + p
+    assert all(pow(g, p * (p - 1) // r, p * p) != 1 for r in (2, 31, 653, p))
 
 
 def test_char_multiplicativity_random_pairs():
@@ -618,6 +632,54 @@ def _parent_unit_psi_mu_integral(mu, n, scale=Fraction(1)):
         if a % p:
             total += psi[r0 * a % pk] * values[a % pe]
     return total / (pK - pK // p)
+
+
+# W_F and the Gauss sum of a Dirichlet character as they were before both
+# took the unit character sum of the unit integral, kept as written; they
+# must give the same floats bit for bit
+
+
+def _parent_gauss_sum_F(mu, pi_choice=1.0):
+    ring = mu.ring
+    pe = ring.modulus
+    psi, values = ring._roots(pe), mu._values
+    total = 0j
+    for a in ring.units():
+        total += psi[a] * values[a]
+    return pe ** -0.5 * pi_choice ** (-ring.e) * total
+
+
+def _parent_dirichlet_gauss_sum(chi):
+    total = 1 + 0j
+    for comp in chi.components:
+        q = comp.ring.modulus
+        cofactor = chi.modulus // q
+        if comp.conductor == comp.ring.e:
+            local = q**0.5 * _parent_gauss_sum_F(comp, 1.0)
+        else:
+            psi = comp.ring._roots(q)
+            local = sum(comp(a) * psi[a] for a in comp.ring.units())
+        total *= comp(cofactor % q) * local
+    return total
+
+
+@pytest.mark.parametrize("p,e", ((3, 3), (5, 2), (7, 2), (11, 1)))
+def test_gauss_sum_F_equals_parent_code(p, e):
+    for mu in MultChar.primitive_chars(ResidueRing(p, e)):
+        for pi_choice in (1.0, 0.3 + 0.4j):
+            want = _parent_gauss_sum_F(mu, pi_choice)
+            assert repr(gauss_sum_F(mu, pi_choice)) == repr(want), (mu, pi_choice)
+
+
+@pytest.mark.parametrize("m", (9, 25, 27, 45, 49, 63, 75, 81, 125))
+def test_dirichlet_gauss_sum_equals_parent_code(m):
+    orders = [p ** (k - 1) * (p - 1) for p, k in factorize(m)]
+    imprimitive = 0
+    for ks in itertools.product(*map(range, orders)):
+        chi = DirichletChar(m, ks)
+        imprimitive += not chi.is_primitive
+        assert repr(chi.gauss_sum()) == repr(_parent_dirichlet_gauss_sum(chi)), (m, ks)
+    assert imprimitive > 0
 
 
 def _parent_zeta_case2_3_cosets(setup, e, mu, pi_choice, s, bessel_diag, lam=1.0):
