@@ -246,7 +246,6 @@ class ClassGroup:
         if k == 0:
             self.invariants = ()
             self._coords = vectors
-            self._char_orders = ()
             return
         orders = [self._order_of(g) for g in gens]
         # relation lattice: diag(orders) plus every relation inside the
@@ -263,17 +262,15 @@ class ClassGroup:
                 relations.append(list(vec))
         mat = [list(col) for col in zip(*relations)]  # k x (#relations)
         diag, U, _ = smith_normal_form(mat)
-        invariants = [d for d in diag if d > 1]
-        self.invariants = tuple(invariants)
-        # coordinates in the invariant-factor presentation: x -> U e(x)
         trimmed = [i for i, d in enumerate(diag) if d > 1]
+        self.invariants = tuple(diag[i] for i in trimmed)
+        # coordinates in the invariant-factor presentation: x -> U e(x)
         self._coords = {}
         for cls, e in vectors.items():
             ue = [sum(U[i][j] * e[j] for j in range(k)) for i in range(k)]
             self._coords[cls] = tuple(
                 ue[i] % diag[i] for i in trimmed
             )
-        self._char_orders = tuple(diag[i] for i in trimmed)
 
     def coords(self, f: QuadForm) -> tuple:
         return self._coords[self.index(f)]
@@ -303,18 +300,18 @@ class ClassChar:
     factors; values are exact roots of unity."""
 
     def __init__(self, group: ClassGroup, exponents: tuple):
-        if len(exponents) != len(group._char_orders):
+        if len(exponents) != len(group.invariants):
             raise ValueError("one exponent per invariant factor")
         self.group = group
         self.exponents = tuple(
-            e % d for e, d in zip(exponents, group._char_orders)
+            e % d for e, d in zip(exponents, group.invariants)
         )
         # the value is exp(2 pi i n / L), n = sum e x (L / d) mod L, with L
         # the lcm of the orders; n / L is the correctly rounded float of
         # the rational n/L that value_fraction returns
-        self._turn = math.lcm(*group._char_orders)
+        self._turn = math.lcm(*group.invariants)
         self._weights = tuple(
-            e * (self._turn // d) for e, d in zip(self.exponents, group._char_orders)
+            e * (self._turn // d) for e, d in zip(self.exponents, group.invariants)
         )
 
     def _turns(self, f: QuadForm) -> int:
@@ -339,7 +336,7 @@ class ClassChar:
     @staticmethod
     def all_chars(group: ClassGroup):
         chars = [()]
-        for d in group._char_orders:
+        for d in group.invariants:
             chars = [c + (e,) for c in chars for e in range(d)]
         return [ClassChar(group, c) for c in chars]
 

@@ -42,12 +42,15 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _u(args) -> RatFunc:
+    # symbolic mode keeps mu(pi) formal
+    return rf_var("U") if args.symbolic else RatFunc.const(Fraction(args.u))
+
+
 def _twist(args) -> TwistData:
-    # symbolic mode keeps mu(pi) formal; Lambda(pi) stays a rational value
-    # because the series/closed-form identities hold at Lambda(pi) = 1
-    u = rf_var("U") if args.symbolic else RatFunc.const(Fraction(args.u))
-    lam = RatFunc.const(Fraction(args.lam))
-    return TwistData(u=u, lam=lam)
+    # Lambda(pi) stays a rational value because the series/closed-form
+    # identities hold at Lambda(pi) = 1
+    return TwistData(u=_u(args), lam=RatFunc.const(Fraction(args.lam)))
 
 
 def _rep(args, trivial: bool = True) -> LocalRep:
@@ -91,13 +94,12 @@ def cmd_lfactor(args) -> int:
     # generic parameters for the factor tables; no central-character
     # constraint is needed to display them
     rep = _rep(args, trivial=False)
-    tw = _twist(args)
     doc = {
         "command": "lfactor",
         "type": args.type,
         "satake": [s.to_text() for s in rep.satake],
         "unitarity": "not checked; unit-circle convention is the caller's",
-        "spinor": spinor_lfactor(rep, TwistData(u=tw.u)).to_text(),
+        "spinor": spinor_lfactor(rep, TwistData(u=_u(args))).to_text(),
     }
     if args.type in SPHERICAL_TAGS:
         doc["standard"] = std_lfactor(rep).to_text()
@@ -350,10 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--type", required=True, choices=REP_TAGS)
         p.add_argument("--symbolic", action="store_true",
-                       help="symbolic Satake parameters (trivial central character)")
+                       help="symbolic Satake parameters (no central-character "
+                       "constraint)" if name == "lfactor" else
+                       "symbolic Satake parameters (trivial central character)")
         p.add_argument("--satake", help="comma-separated rational Satake values")
         p.add_argument("--u", default="1", help="rational twist value mu(pi)")
-        p.add_argument("--lam", default="1", help="rational value Lambda(pi)")
+        if name != "lfactor":  # the L-factors do not depend on Lambda(pi)
+            p.add_argument("--lam", default="1", help="rational value Lambda(pi)")
         if name == "zeta-local":
             p.add_argument("--case", required=True, choices=("1", "4", "5", "6"))
             p.add_argument("--index", type=int, default=0)

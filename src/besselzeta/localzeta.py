@@ -183,11 +183,6 @@ def diag_series(rep: LocalRep, x) -> RatFunc:
     if rep.tag not in SPHERICAL_TAGS:
         raise ValueError("diagonal Bessel series needs a spherical type")
     _require_trivial_cc(rep, "diag_series")
-    return _diag_series(rep, x)
-
-
-def _diag_series(rep: LocalRep, x) -> RatFunc:
-    """diag_series for a caller that has checked its hypotheses."""
     row, _ = _series_linear_forms(rep, x)
     return sum(row, RF_ZERO)
 
@@ -234,7 +229,7 @@ def zeta_case1(rep: LocalRep, twist: TwistData = UNRAMIFIED) -> RatFunc:
     """
     _check_case_args(rep, twist, "1")
     x0 = twist.u * _T * _Q**2
-    return mu_l_lfactor(twist) * _diag_series(rep, x0)
+    return mu_l_lfactor(twist) * diag_series(rep, x0)
 
 
 # the types of each case, and the subject of their error messages
@@ -405,7 +400,7 @@ def recursion_consistency(rep: LocalRep) -> dict:
     }
 
 
-def t_factor(rep: LocalRep, twist: TwistData, p) -> complex:
+def t_factor(rep: LocalRep, twist: TwistData, p) -> float:
     """Per-prime correction of the spectral average.
 
     1 for VIb, 2 for IIIa; for the spherical types
@@ -428,7 +423,6 @@ def t_factor(rep: LocalRep, twist: TwistData, p) -> complex:
         twist.u.const_value()
     )
     lstd = std_lfactor(rep).evaluate({"T": 1.0 / pf, "Q": math.sqrt(pf)})
+    # rational inputs at real points: the imaginary part is 0
     val = 2 * (pf - 1) * pf**-5 * lstd * (1 + u**2 - u / (pf + 1) * tr_val)
-    if abs(val.imag) < 1e-15 * max(1.0, abs(val.real)):
-        return val.real
-    return val
+    return val.real

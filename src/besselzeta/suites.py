@@ -3,8 +3,10 @@
 Each suite re-proves one block of the computed identities at its stated
 tolerance: exact rational-function equality for the symbolic ones; 1e-8 to
 1e-12 for the numeric ones, times max(1, |closed form|) for the case-2/3
-coset sums, and a relative 1e-6 for the archimedean quadrature.  Each reports
-per-case results; the acceptance tests and the command-line ``verify`` run them.
+coset sums, and a relative 1e-6 for the archimedean quadrature.  Each suite
+returns its list of cases; ``run_suite`` reads the seed and builds the report
+under the suite's name in ``SUITES``, for the acceptance tests and the
+command-line ``verify``.
 
 Case provenance tags: PAPER for displayed values verified against their
 source, TRIVIAL for immediate pins, DERIVED for values computed by an
@@ -49,6 +51,13 @@ def _case(cid, inputs, expected, actual, ok, provenance):
     }
 
 
+def _exact_case(cid, inputs, want, got, provenance="PAPER"):
+    """An exact identity got == want, both printed as text; two sides that
+    are both 0 are a failure, since that is what a degenerate input gives."""
+    ok = got == want and not got.is_zero
+    return _case(cid, inputs, want.to_text(), got.to_text(), ok, provenance)
+
+
 def _equal_forms_case(cid, inputs, expected, closed, series, provenance):
     """Two routes to one value agree; both sides free of T (identically 0
     in particular) is a failure, since that is what an out-of-range or
@@ -76,9 +85,8 @@ def _report(name, cases, seed):
     }
 
 
-def suite_case1() -> dict:
+def suite_case1() -> list:
     """Unramified zeta integral equals the half-shifted spinor L-factor."""
-    seed = _seed()
     cases = []
     tw = TwistData(u=rf_var("U"))
     values = {}
@@ -86,27 +94,16 @@ def suite_case1() -> dict:
         rep = LocalRep.symbolic_trivial(tag)
         lhs = values[tag] = lz.zeta_case1(rep, tw)
         rhs = shift_half(spinor_lfactor(rep, tw))
-        cases.append(
-            _case(
-                f"case1-{tag}",
-                f"type {tag}, symbolic parameters, trivial central character",
-                rhs.to_text(),
-                lhs.to_text(),
-                lhs == rhs and not lhs.is_zero,
-                "PAPER",
-            )
-        )
+        inputs = f"type {tag}, symbolic parameters, trivial central character"
+        cases.append(_exact_case(f"case1-{tag}", inputs, rhs, lhs))
     # constant term sanity: T = 0 specialization gives 1
     val = values["I"].subst({"T": RatFunc.const(0)})
-    cases.append(
-        _case("case1-T0", "type I at T=0", "1", val.to_text(), val == RF_ONE, "TRIVIAL")
-    )
-    return _report("case1", cases, seed)
+    cases.append(_exact_case("case1-T0", "type I at T=0", RF_ONE, val, "TRIVIAL"))
+    return cases
 
 
-def suite_case4() -> dict:
+def suite_case4() -> list:
     """Old-form closed form = series route; inversion symmetry."""
-    seed = _seed()
     cases = []
     tw = TwistData(u=rf_var("U"))
     inv_sub = {"U": rf_var("U").inv(), "T": rf_var("T").inv()}
@@ -140,12 +137,11 @@ def suite_case4() -> dict:
                     "PAPER",
                 )
             )
-    return _report("case4", cases, seed)
+    return cases
 
 
-def suite_case56_periods() -> dict:
+def suite_case56_periods() -> list:
     """Newform zeta integrals and all three local-period closed forms."""
-    seed = _seed()
     cases = []
     tw = TwistData(u=rf_var("U"))
     rep3 = LocalRep.symbolic_trivial("IIIa")
@@ -179,27 +175,11 @@ def suite_case56_periods() -> dict:
         rep = LocalRep.symbolic_trivial(tag)
         got = lz.local_period(rep, tw)
         want = closed[tag] = lz.local_period_closed(rep, tw)
-        cases.append(
-            _case(
-                f"period-{tag}",
-                f"type {tag} component sum over the orthonormal basis",
-                want.to_text(),
-                got.to_text(),
-                got == want and not got.is_zero,
-                "PAPER",
-            )
-        )
+        inputs = f"type {tag} component sum over the orthonormal basis"
+        cases.append(_exact_case(f"period-{tag}", inputs, want, got))
     ratio = closed["IIIa"] / closed["VIb"]
-    cases.append(
-        _case(
-            "period-IIIa-twice-VIb",
-            "IIIa period / VIb period",
-            "2",
-            ratio.to_text(),
-            ratio == RatFunc.const(2),
-            "PAPER",
-        )
-    )
+    cases.append(_exact_case("period-IIIa-twice-VIb", "IIIa period / VIb period",
+                             RatFunc.const(2), ratio))
     rec = lz.recursion_consistency(LocalRep.symbolic("IIIa"))
     cases.append(
         _case(
@@ -211,13 +191,12 @@ def suite_case56_periods() -> dict:
             "PAPER",
         )
     )
-    return _report("case56_periods", cases, seed)
+    return cases
 
 
-def suite_gauss() -> dict:
+def suite_gauss() -> list:
     """Character-sum lemmas by exhaustive summation, tolerance 1e-9."""
-    seed = _seed()
-    rng = random.Random(seed)
+    rng = random.Random(_seed())
     cases = []
     tol = 1e-9
     for p in (3, 5, 7):
@@ -282,12 +261,11 @@ def suite_gauss() -> dict:
                         "PAPER",
                     )
                 )
-    return _report("gauss", cases, seed)
+    return cases
 
 
-def suite_case23() -> dict:
+def suite_case23() -> list:
     """Ramified-twist zeta integrals against the coset-sum oracle."""
-    seed = _seed()
     cases = []
     setup = pr.BesselSetup(1, 0, 1, 3)  # d = -4, inert at 3
     ring = pr.ResidueRing(3, 1)
@@ -339,13 +317,12 @@ def suite_case23() -> dict:
             "DERIVED",
         )
     )
-    return _report("case23", cases, seed)
+    return cases
 
 
-def suite_y_eta() -> dict:
+def suite_y_eta() -> list:
     """Y_eta determinant and Smith-form claims on >= 20 instances."""
-    seed = _seed()
-    rng = random.Random(seed + 1)
+    rng = random.Random(_seed() + 1)
     cases = []
     configs = [
         ((1, 0, 1), 5),
@@ -386,13 +363,12 @@ def suite_y_eta() -> dict:
             "TRIVIAL",
         )
     )
-    return _report("y_eta", cases, seed)
+    return cases
 
 
-def suite_classgroup() -> dict:
+def suite_classgroup() -> list:
     """Class numbers, group axioms, conjugation = inversion, sign law."""
-    seed = _seed()
-    rng = random.Random(seed + 2)
+    rng = random.Random(_seed() + 2)
     cases = []
     groups = {d: cg.ClassGroup(d) for d in (-3, -4, -7, -8, -11, -15, -20, -23, -47)}
     for d, h in ((-3, 1), (-4, 1), (-23, 3), (-47, 5)):
@@ -465,12 +441,11 @@ def suite_classgroup() -> dict:
             "PAPER",
         )
     )
-    return _report("classgroup", cases, seed)
+    return cases
 
 
-def suite_tfactor() -> dict:
+def suite_tfactor() -> list:
     """Spectral-average correction factor pins."""
-    seed = _seed()
     cases = []
     v6 = lz.t_factor(LocalRep.symbolic_trivial("VIb"), UNRAMIFIED, 3)
     v3 = lz.t_factor(LocalRep.symbolic("IIIa"), UNRAMIFIED, 3)
@@ -496,12 +471,11 @@ def suite_tfactor() -> dict:
             "DERIVED",
         )
     )
-    return _report("tfactor", cases, seed)
+    return cases
 
 
-def suite_global_eps() -> dict:
+def suite_global_eps() -> list:
     """Global epsilon sign at the center; Gauss-sum moduli."""
-    seed = _seed()
     cases = []
     for l1, l2, want in ((6, 4, 1), (5, 3, -1)):
         gp = ga.GlobalParams(
@@ -540,12 +514,11 @@ def suite_global_eps() -> dict:
                 "DERIVED",
             )
         )
-    return _report("global_eps", cases, seed)
+    return cases
 
 
-def suite_arch() -> dict:
+def suite_arch() -> list:
     """Archimedean Mellin-Gamma quadrature pin at three parameter points."""
-    seed = _seed()
     cases = []
     for sigma, d in ((4.5, -4), (7.0, -23), (3.0, -3)):
         # the closed side is computed here, apart from the pin, so that a wrong
@@ -564,7 +537,7 @@ def suite_arch() -> dict:
                 "DERIVED",
             )
         )
-    return _report("arch_quadrature", cases, seed)
+    return cases
 
 
 SUITES = {
@@ -598,5 +571,6 @@ RUNTIME_LIMITS = {
 def run_suite(name: str) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name]()
+    seed = _seed()
+    return _report(name, SUITES[name](), seed)
 

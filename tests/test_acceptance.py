@@ -19,7 +19,8 @@ from besselzeta import globalasm as ga
 from besselzeta import localzeta as lz
 from besselzeta import padicring as pr
 from besselzeta import suites
-from besselzeta.suites import RUNTIME_LIMITS, SUITES, _equal_forms_case, run_suite
+from besselzeta.suites import (RUNTIME_LIMITS, SUITES, _equal_forms_case, _exact_case,
+                               run_suite)
 from besselzeta.symfield import RF_ZERO, RatFunc, rf_var
 
 GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "verify_all.seed831.json"
@@ -72,10 +73,15 @@ def test_two_zero_forms_do_not_pass():
     two = RatFunc.const(2)
     case = _equal_forms_case("c", "i", "e", two, two, "PAPER")
     assert case["pass"] is False and case["actual"] == "both free of T"
+    # an exact identity passes on equal nonzero sides, constants included
+    case = _exact_case("c", "i", RF_ZERO, RF_ZERO)
+    assert case["pass"] is False and (case["expected"], case["actual"]) == ("0", "0")
+    assert _exact_case("c", "i", two, two)["pass"] is True
+    assert _exact_case("c", "i", two, t)["pass"] is False
 
 
-def _verdicts(report, prefix):
-    return {c["id"]: c["pass"] for c in report["cases"] if c["id"].startswith(prefix)}
+def _verdicts(cases, prefix):
+    return {c["id"]: c["pass"] for c in cases if c["id"].startswith(prefix)}
 
 
 def test_case1_both_sides_zero_does_not_pass(monkeypatch):
@@ -105,8 +111,8 @@ def test_case4_constant_normalized_value_does_not_pass(monkeypatch):
 
     monkeypatch.setattr(lz, "zeta_case4", spin)
     monkeypatch.setattr(lz, "zeta_case4_series", spin)
-    report = suites.suite_case4()
-    assert {c["id"]: (c["pass"], c["actual"]) for c in report["cases"]} == {
+    cases = suites.suite_case4()
+    assert {c["id"]: (c["pass"], c["actual"]) for c in cases} == {
         "case4-I-B1": (True, "equal"),
         "case4-I-B1-inv": (False, "free of T"),
         "case4-IIb-B1": (True, "equal"),
@@ -123,7 +129,7 @@ def test_arch_pin_with_a_wrong_constant_does_not_pass(monkeypatch):
         return {"integral": value, "closed": value, "rel_err": 0.0}
 
     monkeypatch.setattr(ga, "mellin_gamma_pin", wrong_pin)
-    assert not any(c["pass"] for c in suites.suite_arch()["cases"])
+    assert not any(c["pass"] for c in suites.suite_arch())
 
 
 def test_y_eta_rejected_config_raises(monkeypatch):

@@ -267,7 +267,7 @@ def _fraction_turn(chi, f):
     # the sum of e x / d over Fractions, reduced mod 1: the value of chi(f)
     # as a fraction of a full turn, computed without the lcm of the orders
     total = Fraction(0)
-    for e, x, d in zip(chi.exponents, chi.group.coords(f), chi.group._char_orders):
+    for e, x, d in zip(chi.exponents, chi.group.coords(f), chi.group.invariants):
         total += Fraction(e * x, d)
     return total % 1
 

@@ -143,6 +143,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["lfactor", "--type", "VII"])
     assert exc.value.code == 2
+    # the L-factors do not depend on Lambda(pi), so lfactor takes no --lam
+    with pytest.raises(SystemExit) as exc:
+        main(["lfactor", "--type", "I", "--lam", "2"])
+    assert exc.value.code == 2
 
 
 # the README examples whose output is exact, compared byte for byte
@@ -286,8 +290,8 @@ def test_average_bad_config_exits_2(config, tmp_path, capsys):
 
 
 def test_verify_failure_is_not_a_usage_error(monkeypatch):
-    report = {"suite": "tfactor", "seed": 0, "cases": [], "summary": {}, "ok": False}
-    monkeypatch.setitem(suites.SUITES, "tfactor", lambda: report)
+    cases = [suites._case("t", "i", "1", "2", False, "TRIVIAL")]
+    monkeypatch.setitem(suites.SUITES, "tfactor", lambda: cases)
     code, out = _run(["verify", "--suite", "tfactor"])
     assert code == 1 and json.loads(out)["ok"] is False
 
