@@ -209,7 +209,12 @@ def cmd_gauss(args) -> int:
         d1, d2, u_, v_ = pr.smith_form_2x2(m)
         lhs = {"U": u_, "V": v_}
         rhs = {"d1": d1, "d2": d2}
-        err = 0.0
+        umv = [[sum(u_[i][k] * m[k][l] * v_[l][j] for k in range(2) for l in range(2))
+                for j in range(2)] for i in range(2)]
+        unimodular = all(abs(x[0][0] * x[1][1] - x[0][1] * x[1][0]) == 1 for x in (u_, v_))
+        # the claim is exact in integers: abs_err reads 0 when it holds, 1 when not
+        err = float(not (umv == [[d1, 0], [0, d2]] and 0 < d1 and 0 < d2
+                         and d2 % d1 == 0 and unimodular))
         inputs["matrix"] = m
     ok = err < 1e-9
     _emit(

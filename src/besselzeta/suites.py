@@ -569,8 +569,6 @@ RUNTIME_LIMITS = {
 
 
 def run_suite(name: str) -> dict:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
     seed = _seed()
     return _report(name, SUITES[name](), seed)
 

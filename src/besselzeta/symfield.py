@@ -54,6 +54,7 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import ast
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -755,112 +756,52 @@ def geom_resolvent(m: RatMatrix, x) -> RatMatrix:
 # parsing
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = self._lex(text)
-        self.pos = 0
-
-    @staticmethod
-    def _lex(text):
-        toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                toks.append(("int", text[i:j]))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*/^()":
-                toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in expression")
-        return toks
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def parse_ratfunc(text: str, extra_vars: Iterable[str] = ()) -> RatFunc:
-    """Parse a small infix grammar: + - * / ^, integer exponents, variables.
+    """Parse + - * / ^, parentheses, integers, variables and integer exponents.
 
+    Python's expression parser reads the text, with ^ in place of ** and
+    whitespace runs as single spaces; the walk accepts decimal integer
+    literals, allowed names, unary minus, + - * / and ^ with a decimal
+    integer exponent negated at most once, and raises ValueError on any
+    other syntax.  Operations apply left to right, as written.
     Variable names must be builtin (Q T A B G U L) or listed in extra_vars.
     """
     allowed = set(BUILTIN_VARS) | set(extra_vars)
-    tk = _Tokens(text)
+    if "**" in text or "#" in text:  # a comment would hide the rest of the text
+        raise ValueError("'**' and '#' are not part of the grammar")
+    source = " ".join(text.split()).replace("^", "**")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"malformed expression: {exc.msg}") from None
 
-    def parse_expr():
-        node = parse_term()
-        while tk.peek()[0] in ("+", "-"):
-            op = tk.next()[0]
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+    def literal(node) -> bool:  # ast reads 1_0, 0x10 and True as ints too
+        return (isinstance(node, ast.Constant)
+                and ast.get_source_segment(source, node).isdigit())
 
-    def parse_term():
-        node = parse_factor()
-        while tk.peek()[0] in ("*", "/"):
-            op = tk.next()[0]
-            rhs = parse_factor()
-            node = node * rhs if op == "*" else node / rhs
-        return node
+    def walk(node) -> RatFunc:
+        if literal(node):
+            return RatFunc.const(node.value)
+        if isinstance(node, ast.Name):
+            name = ast.get_source_segment(source, node)  # as written, not NFKC-folded
+            if name not in allowed:
+                raise ValueError(f"unknown variable {name!r}")
+            return RatFunc.var(name)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -walk(node.operand)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, exp, sign = walk(node.left), node.right, 1
+            if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+                exp, sign = exp.operand, -1
+            if not literal(exp):
+                raise ValueError("exponent must be an integer")
+            return base ** (sign * exp.value)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
+        raise ValueError(f"unexpected {ast.get_source_segment(source, node)!r}")
 
-    def parse_factor():
-        if tk.peek()[0] == "-":
-            tk.next()
-            return -parse_factor()
-        node = parse_atom()
-        if tk.peek()[0] == "^":
-            tk.next()
-            node = node ** parse_exponent()
-        return node
-
-    def parse_exponent() -> int:
-        sign = 1
-        kind, val = tk.next()
-        if kind == "-":
-            sign = -1
-            kind, val = tk.next()
-        if kind == "(":
-            inner = parse_exponent()
-            if tk.next()[0] != ")":
-                raise ValueError("unbalanced parenthesis in exponent")
-            return sign * inner
-        if kind != "int":
-            raise ValueError("exponent must be an integer")
-        return sign * int(val)
-
-    def parse_atom():
-        kind, val = tk.next()
-        if kind == "int":
-            return RatFunc.const(int(val))
-        if kind == "name":
-            if val not in allowed:
-                raise ValueError(f"unknown variable {val!r}")
-            return RatFunc.var(val)
-        if kind == "(":
-            inner = parse_expr()
-            if tk.next()[0] != ")":
-                raise ValueError("unbalanced parenthesis")
-            return inner
-        raise ValueError(f"unexpected token {val!r}")
-
-    result = parse_expr()
-    if tk.peek()[0] is not None:
-        raise ValueError("trailing input after expression")
-    return result
+    return walk(tree.body)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from besselzeta import localzeta as lz
+from besselzeta import padicring as pr
 from besselzeta import suites
 from besselzeta.cli import main
 from besselzeta.symfield import RF_ONE
@@ -120,6 +121,15 @@ def test_gauss_command():
     # smith builds no residue ring, so --p need not be an odd prime
     code, out = _run(["gauss", "--p", "4", "--check", "smith", "--matrix", "2,7;4,9"])
     assert code == 0 and json.loads(out)["rhs"] == {"d1": 1, "d2": 10}
+
+
+def test_gauss_smith_checks_the_transforms(monkeypatch):
+    # identity transforms do not diagonalize [[2, 7], [4, 9]]
+    monkeypatch.setattr(pr, "smith_form_2x2",
+                        lambda m: (1, 10, [[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+    code, out = _run(["gauss", "--p", "3", "--check", "smith", "--matrix", "2,7;4,9"])
+    assert code == 1
+    assert json.loads(out)["pass"] is False
 
 
 def test_average_command(tmp_path):

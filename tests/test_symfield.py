@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from sympy.polys.rings import PolyElement
@@ -24,6 +26,7 @@ from besselzeta.symfield import (
 )
 
 Q, T, A, B, G, U = (rf_var(n) for n in "QTABGU")
+GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "verify_all.seed831.json"
 
 
 def test_cancellation_to_zero():
@@ -238,17 +241,44 @@ def test_parser_roundtrip():
     for _ in range(25):
         f = _random_ratfunc(rng)
         assert parse_ratfunc(f.to_text()) == f
+    # the symbolic strings the verify report prints for case 1 and the periods
+    report = json.loads(GOLDEN.read_text())
+    texts = [c[side] for suite in report["suites"] for c in suite["cases"]
+             if c["id"].startswith(("case1-", "period-")) for side in ("expected", "actual")]
+    assert len(texts) == 16
+    for text in texts:
+        assert parse_ratfunc(text).to_text() == text
+
+
+# (text, extra_vars, value): whitespace of any kind separates tokens, and a
+# negative exponent may be parenthesised
+PARSE_ACCEPTS = [
+    ("(1 - A*T)^-1", (), (RF_ONE - A * T).inv()),
+    ("Q^2/(T - 1) + 3", (), Q**2 / (T - 1) + 3),
+    ("-T^(-2)", (), -(T**-2)),
+    ("A^-(2) - 2^-1", (), A**-2 - Fraction(1, 2)),
+    ("A\t*\n T\n", (), A * T),
+    ("((A - (T)) * ((Q)))^2", (), ((A - T) * Q) ** 2),
+    ("Z + 1", ("Z",), rf_var("Z") + 1),
+]
+
+# each raises ValueError: an unregistered name, Python syntax outside the
+# grammar (** and comments, booleans, floats, underscored, hex and
+# leading-zero literals, calls, attributes, comparisons, @, unary +), a
+# doubly negated, chained or non-integer exponent, and malformed text
+PARSE_REJECTS = [
+    "Z + 1", "A**2", "A # T", "True", "1.5", "1_0", "0x10", "f(A)", "A.T", "A < T",
+    "A @ T", "+A", "007", "A^-(-2)", "A^--2", "A^(-(-2))", "2^3^2", "A^B", "A^1.5",
+    "A^1_0", "1 +", "(A", "A)", "A B", "", "1/0 +",
+]
 
 
 def test_parser_grammar():
-    assert parse_ratfunc("(1 - A*T)^-1") == (RF_ONE - A * T).inv()
-    assert parse_ratfunc("Q^2/(T - 1) + 3") == Q**2 / (T - 1) + 3
-    assert parse_ratfunc("-T^(-2)") == -(T**-2)
-    with pytest.raises(ValueError):
-        parse_ratfunc("Z + 1")  # unregistered name
-    assert parse_ratfunc("Z + 1", extra_vars=("Z",)) == rf_var("Z") + 1
-    with pytest.raises(ValueError):
-        parse_ratfunc("1 +")
+    for text, extra, want in PARSE_ACCEPTS:
+        assert parse_ratfunc(text, extra_vars=extra) == want, text
+    for text in PARSE_REJECTS:
+        with pytest.raises(ValueError):
+            parse_ratfunc(text)
 
 
 def test_serialization_deterministic():
