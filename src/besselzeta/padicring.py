@@ -16,10 +16,13 @@ quadratic non-residue mod p; the nontrivial automorphism is x -> -x, so
 norm and trace are N(a+bx) = a^2 - c b^2 and tr(a+bx) = 2a.
 
 Enumeration kernels are pure functions over immutable ring tables.  The
-coset-sum oracle brute-forces each distinct unit integral once per call:
-the integral at (n, scale) is a function of the character and of the exact
+coset-sum oracle sums each distinct unit integral once per call: the
+integral at (n, scale) is a function of the character and of the exact
 key {p^n scale}_p = r0 / p^k alone, so a repeated key reuses the float its
-first sum gave, bit for bit.  No sum is kept between calls.
+first sum gave, bit for bit.  At p^k > p^e it sums over a = b + p^e t, a
+sum over the units b mod p^e times a character-free sum over t, both
+enumerated; unit_psi_mu_integral remains the brute force over every unit
+that checks the vanishing lemma.  No sum is kept between calls.
 """
 
 from __future__ import annotations
@@ -341,6 +344,30 @@ def _unit_char_sum(mu: MultChar, pk: int, r0: int) -> complex:
     return total
 
 
+def _oracle_unit_integral(mu: MultChar, pk: int, r0: int) -> complex:
+    """The unit integral with {x}_p = r0 / p^k, as the coset oracle takes it.
+
+    At p^k <= p^e it is _unit_integral_sum.  At p^k > p^e each unit a mod
+    p^k is b + p^e t with b a unit mod p^e, so mu(a) = mu(b) and
+    psi(r0 a / p^k) = psi(r0 b / p^k) psi(r0 t / p^(k-e)): the sum is a sum
+    over b times the character-free sum over t, and both are enumerated,
+    not assumed to vanish.
+    """
+    ring = mu.ring
+    p, pe = ring.p, ring.modulus
+    if pk <= pe:
+        return _unit_integral_sum(mu, pk, r0)
+    psi, values = ring._roots(pk), mu._values
+    outer = 0j
+    for b in range(1, pe):
+        if b % p:
+            outer += psi[r0 * b % pk] * values[b]
+    inner = 0j
+    for t in range(0, pk, pe):
+        inner += psi[r0 * t % pk]
+    return outer * inner / (pk - pk // p)
+
+
 def gauss_sum_lemma_value(mu: MultChar, n: int, pi_choice: complex = 1.0) -> complex:
     """Closed form of the unit-integral lemma: nonzero only at n = -e."""
     ring = mu.ring
@@ -368,12 +395,13 @@ def gauss_sum_L(mu: MultChar, gring: GaloisRing, pi_choice: complex = 1.0) -> co
     psi, values = ring._roots(pe), mu._values
     # z = x + y sqrt(c) over the units, in the order of gring.units():
     # tr z = 2x and N z = x^2 - c y^2, a unit since z is one
-    every_y, unit_y = range(pe), [y for y in range(pe) if y % p]
+    every_y = [c * y * y for y in range(pe)]
+    unit_y = [cyy for y, cyy in enumerate(every_y) if y % p]
     total = 0j
     for x in range(pe):
         psi_x, xx = psi[2 * x % pe], x * x
-        for y in every_y if x % p else unit_y:
-            total += psi_x * values[(xx - c * y * y) % pe]
+        for t in every_y if x % p else unit_y:
+            total += psi_x * values[(xx - t) % pe]
     mu_L_pi = pi_choice**2  # mu_L(pi) = mu(N pi) = mu(pi)^2
     return qL ** (-ring.e / 2) * mu_L_pi ** (-ring.e) * total
 
@@ -390,11 +418,12 @@ def norm_char_sum(gring: GaloisRing, mu: MultChar, u: int) -> complex:
         raise ValueError("u must be a unit")
     pe, c, values = ring.modulus, gring.c, mu._values
     # eta = x + y sqrt(c) in the order of gring.elements()
+    cyy = [c * y * y for y in range(pe)]
     total = 0j
     for x in range(pe):
         ux = u + x * x
-        for y in range(pe):
-            value = values[(ux - c * y * y) % pe]
+        for t in cyy:
+            value = values[(ux - t) % pe]
             if value is not None:
                 total += value
     return total
@@ -642,14 +671,17 @@ def zeta_case2_3_cosets(
     Representatives are lower-unipotents [[1,0],[xi,1]] (xi in p o_L/p^e)
     and Weyl-type [[0,-1],[1,eta^dagger]] (eta in o_L/p^e).  Section
     values come from the f-lemma, the Bessel-argument reduction from the
-    Y_eta lemma, unit integrals are brute-forced, and the diagonal Bessel
+    Y_eta lemma, unit integrals are enumerated, and the diagonal Bessel
     values B0(h(l,0)) are supplied by the caller (the spherical series).
 
-    Each distinct unit integral is brute-forced once per call.  Its value
-    is a function of the exact key (p^k, r0) with {p^n * scale}_p = r0/p^k,
-    so a repeated key gets the very float its first sum gave; likewise a
-    Weyl coset's inner sum depends on eta only through the valuation v it
-    reduces to.  Nothing is kept between calls.
+    Each distinct unit integral is summed once per call.  Its value is a
+    function of the exact key (p^k, r0) with {p^n * scale}_p = r0/p^k, so
+    a repeated key gets the very float its first sum gave; likewise a Weyl
+    coset's inner sum depends on eta only through the valuation v it
+    reduces to.  Nothing is kept between calls.  At p^k > p^e the sum runs
+    over a = b + p^e t, a sum over the units b mod p^e times a sum over t,
+    with both factors enumerated; unit_psi_mu_integral remains the brute
+    force over every unit that checks the vanishing lemma.
 
     A Weyl coset's v = a^6 d/4 + N(eta) is p-integral, and when v = 0 or
     ord_p(v) > e its lift v + p^e has valuation exactly e, the smaller of
@@ -660,14 +692,14 @@ def zeta_case2_3_cosets(
     pe = p**e
     u = pi_choice
     prefactor = p ** (-2 * e + 2) / (p**2 + 1)
-    sums = {}                   # (p^k, r0) -> brute-forced unit integral
+    sums = {}                   # (p^k, r0) -> enumerated unit integral
     weights = {}                # n -> u^n q^{-n(s-1)}
 
     def term(n: int, scale: Fraction) -> complex:
         key = _unit_integral_key(p, n, scale)
         integral = sums.get(key)
         if integral is None:
-            integral = sums[key] = _unit_integral_sum(mu, *key)
+            integral = sums[key] = _oracle_unit_integral(mu, *key)
         weight = weights.get(n)
         if weight is None:
             weight = weights[n] = u**n * p ** (-n * (s - 1))

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import ast
 import operator
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -767,23 +768,32 @@ def parse_ratfunc(text: str, extra_vars: Iterable[str] = ()) -> RatFunc:
     whitespace runs as single spaces; the walk accepts decimal integer
     literals, allowed names, unary minus, + - * / and ^ with a decimal
     integer exponent negated at most once, and raises ValueError on any
-    other syntax.  Operations apply left to right, as written.
+    other syntax, and on text nested too deeply to parse.  Operations apply
+    left to right, as written.
     Variable names must be builtin (Q T A B G U L) or listed in extra_vars.
     """
     allowed = set(BUILTIN_VARS) | set(extra_vars)
     if "**" in text or "#" in text:  # a comment would hide the rest of the text
         raise ValueError("'**' and '#' are not part of the grammar")
     source = " ".join(text.split()).replace("^", "**")
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"malformed expression: {exc.msg}") from None
 
     def literal(node) -> bool:  # ast reads 1_0, 0x10 and True as ints too
         return (isinstance(node, ast.Constant)
                 and ast.get_source_segment(source, node).isdigit())
 
     def walk(node) -> RatFunc:
+        # a chain of + - * / nests down its left operands: follow that spine
+        # in a loop, then apply the operations left to right
+        chain = []
+        while isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            chain.append(node)
+            node = node.left
+        value = operand(node)
+        for link in reversed(chain):
+            value = _BINOPS[type(link.op)](value, walk(link.right))
+        return value
+
+    def operand(node) -> RatFunc:
         if literal(node):
             return RatFunc.const(node.value)
         if isinstance(node, ast.Name):
@@ -800,8 +810,14 @@ def parse_ratfunc(text: str, extra_vars: Iterable[str] = ()) -> RatFunc:
             if not literal(exp):
                 raise ValueError("exponent must be an integer")
             return base ** (sign * exp.value)
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
         raise ValueError(f"unexpected {ast.get_source_segment(source, node)!r}")
 
-    return walk(tree.body)
+    try:
+        with warnings.catch_warnings():  # e.g. "invalid decimal literal" for 2if
+            warnings.simplefilter("ignore", SyntaxWarning)
+            tree = ast.parse(source, mode="eval")
+        return walk(tree.body)
+    except SyntaxError as exc:
+        raise ValueError(f"malformed expression: {exc.msg}") from None
+    except RecursionError:  # from ast.parse, or a long run of unary minus
+        raise ValueError("expression nests too deeply") from None

@@ -585,7 +585,7 @@ def _ref_unit_integral(mu, n, scale):
     return total / count
 
 
-EXACT_RINGS = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
+EXACT_RINGS = ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1))
 
 
 @pytest.mark.parametrize("p,e", EXACT_RINGS)
@@ -614,8 +614,9 @@ def test_table_kernels_equal_per_term_sums(p, e):
 
 
 # the unit integral and the coset-sum oracle as they were before the oracle
-# brute-forced each distinct unit integral once per call, kept as written
-# (constants inlined); the oracle must give the same floats bit for bit
+# summed each distinct unit integral once per call, and split it over
+# a = b + p^e t at p^k > p^e, kept as written (constants inlined); the
+# oracle must give the same floats bit for bit
 
 
 def _parent_unit_psi_mu_integral(mu, n, scale=Fraction(1)):
@@ -741,9 +742,12 @@ def _parent_zeta_case2_3_cosets(setup, e, mu, pi_choice, s, bessel_diag, lam=1.0
     return z_phi, z_hat
 
 
-# S inert at p, as in the benchmark's coset set-ups, plus one deeper level
+# S inert at p, as in the benchmark's coset set-ups, plus one deeper level;
+# each is run at these (u, s, lam)
 ORACLE_SETUPS = (((1, 0, 1), 3, 1), ((1, 1, 1), 5, 1), ((1, 0, 1), 7, 1),
                  ((1, 0, 1), 3, 2))
+ORACLE_POINTS = ((cmath.exp(0.4j), 0.3, 1.0), (cmath.exp(2.1j), 0.7 + 0.2j, 1.0),
+                 (cmath.exp(-1.3j), 1.1 - 0.25j, cmath.exp(0.5j)))
 
 
 def _diag_at(p):
@@ -756,13 +760,41 @@ def _diag_at(p):
 @pytest.mark.parametrize("abc,p,e", ORACLE_SETUPS, ids=("p3e1", "p5e1", "p7e1", "p3e2"))
 def test_coset_oracle_equals_parent_code(abc, p, e):
     setup, diag = BesselSetup(*abc, p), _diag_at(p)
-    points = ((cmath.exp(0.4j), 0.3, 1.0), (cmath.exp(2.1j), 0.7 + 0.2j, 1.0),
-              (cmath.exp(-1.3j), 1.1 - 0.25j, cmath.exp(0.5j)))
     for mu in MultChar.primitive_chars(ResidueRing(p, e))[:2]:
-        for u, s, lam in points:
+        for u, s, lam in ORACLE_POINTS:
             got = zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
             want = _parent_zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
             assert got == want, (abc, p, e, mu, u, s)
+
+
+def test_oracle_unit_integral_equals_the_unit_sum(monkeypatch):
+    """On every key the oracle meets over ORACLE_SETUPS and ORACLE_POINTS,
+    its unit integral is _unit_integral_sum's float at p^k <= p^e, and
+    within 1e-15 of it at p^k > p^e, where it sums over a = b + p^e t."""
+    import besselzeta.padicring as pr
+
+    keys, real = set(), pr._oracle_unit_integral
+
+    def recording(mu, pk, r0):
+        keys.add((mu.ring.p, mu.ring.e, mu.k, pk, r0))
+        return real(mu, pk, r0)
+
+    monkeypatch.setattr(pr, "_oracle_unit_integral", recording)
+    for abc, p, e in ORACLE_SETUPS:
+        setup, diag = BesselSetup(*abc, p), _diag_at(p)
+        for mu in MultChar.primitive_chars(ResidueRing(p, e))[:2]:
+            for u, s, lam in ORACLE_POINTS:
+                pr.zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
+    deep = 0
+    for p, e, k, pk, r0 in sorted(keys):
+        mu = MultChar(ResidueRing(p, e), k)
+        got, want = real(mu, pk, r0), pr._unit_integral_sum(mu, pk, r0)
+        if pk <= p**e:
+            assert got == want, (p, e, k, pk, r0)
+        else:
+            deep += 1
+            assert abs(got - want) <= 1e-15, (p, e, k, pk, r0, got, want)
+    assert deep and deep < len(keys)
 
 
 def test_weyl_lift_has_valuation_e():
@@ -793,7 +825,7 @@ def test_oracle_grid_meets_lifted_cosets():
 
 def test_coset_oracle_sums_each_key_once_per_call(monkeypatch):
     """Over the benchmark's 24 coset inputs of seed 501, round 4, the
-    oracle brute-forces each distinct (p^k, r0) once per call."""
+    oracle sums each distinct (p^k, r0) once per call."""
     import besselzeta.padicring as pr
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -802,7 +834,7 @@ def test_coset_oracle_sums_each_key_once_per_call(monkeypatch):
     # record the key of every unit integral the parent oracle takes, and
     # every sum the oracle under test makes
     keys, summed = [], []
-    parent_unit, real_sum = _parent_unit_psi_mu_integral, pr._unit_integral_sum
+    parent_unit, real_sum = _parent_unit_psi_mu_integral, pr._oracle_unit_integral
 
     def recording_unit(mu, n, scale=Fraction(1)):
         p = mu.ring.p
@@ -814,7 +846,7 @@ def test_coset_oracle_sums_each_key_once_per_call(monkeypatch):
         return real_sum(mu, pk, r0)
 
     monkeypatch.setattr(sys.modules[__name__], "_parent_unit_psi_mu_integral", recording_unit)
-    monkeypatch.setattr(pr, "_unit_integral_sum", counting_sum)
+    monkeypatch.setattr(pr, "_oracle_unit_integral", counting_sum)
     diags = {}
     n_parent_calls = n_keys = n_sums = 0
     for p, abc, k, u, s in workloads.exhaustive_round(501, 4)["cosets"]:

@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,20 +266,36 @@ PARSE_ACCEPTS = [
 # each raises ValueError: an unregistered name, Python syntax outside the
 # grammar (** and comments, booleans, floats, underscored, hex and
 # leading-zero literals, calls, attributes, comparisons, @, unary +), a
-# doubly negated, chained or non-integer exponent, and malformed text
+# doubly negated, chained or non-integer exponent, malformed text, and a
+# keyword written against a number, which Python's tokenizer warns about
 PARSE_REJECTS = [
     "Z + 1", "A**2", "A # T", "True", "1.5", "1_0", "0x10", "f(A)", "A.T", "A < T",
     "A @ T", "+A", "007", "A^-(-2)", "A^--2", "A^(-(-2))", "2^3^2", "A^B", "A^1.5",
-    "A^1_0", "1 +", "(A", "A)", "A B", "", "1/0 +",
+    "A^1_0", "1 +", "(A", "A)", "A B", "", "1/0 +", "2if", "1or T", "3in",
 ]
 
 
 def test_parser_grammar():
     for text, extra, want in PARSE_ACCEPTS:
         assert parse_ratfunc(text, extra_vars=extra) == want, text
-    for text in PARSE_REJECTS:
+    # a rejected text raises ValueError and nothing else: no warning either
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for text in PARSE_REJECTS:
+            with pytest.raises(ValueError):
+                parse_ratfunc(text)
+    assert [str(w.message) for w in seen] == []
+
+
+def test_parser_reads_long_chains_and_rejects_deep_ones():
+    # a chain of n operands nests n - 1 deep down its left operands
+    assert parse_ratfunc(" + ".join(["T"] * 1000)) == 1000 * T
+    assert parse_ratfunc(" * ".join(["T"] * 1000)) == T**1000
+    for op in (" + ", " * "):
         with pytest.raises(ValueError):
-            parse_ratfunc(text)
+            parse_ratfunc(op.join(["T"] * 5000))
+    with pytest.raises(ValueError):
+        parse_ratfunc("-" * 5000 + "T")
 
 
 def test_serialization_deterministic():
