@@ -181,7 +181,7 @@ class ClassGroup:
 
     Classes are indexed by their sorted reduced representatives; the
     composition table, invariant-factor structure and class coordinates
-    are precomputed. Immutable once built; queries are thread-safe.
+    are precomputed. Immutable once built.
     """
 
     def __init__(self, d: int):

@@ -8,8 +8,8 @@ always part of the report.
 
 Exit status: 0 on success, 1 when a verification suite or check fails, 2
 for usage errors, which include an input the library rejects (a
-ValueError or ZeroDivisionError outside ``verify``), reported in one line
-on stderr.
+ValueError or ArithmeticError outside ``verify``, such as a value that
+overflows or is not a finite float), reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -38,8 +38,11 @@ def _complex_json(x):
 
 
 def _emit(doc: dict) -> None:
-    json.dump({"schema": SCHEMA, **doc}, sys.stdout, indent=2, default=_complex_json)
-    sys.stdout.write("\n")
+    # the whole text is built first, so a value that is not a finite float
+    # raises ValueError before any of the document reaches stdout
+    text = json.dumps({"schema": SCHEMA, **doc}, indent=2, default=_complex_json,
+                      allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _u(args) -> RatFunc:
@@ -267,6 +270,9 @@ def cmd_average(args) -> int:
         raise ValueError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
+    for key in cfg:
+        if key not in ("M", "D", "l1", "l2", "N", "N_pi", "chi", "s"):
+            raise ValueError(f"config has unknown key {key!r}")
     try:
         m, d, l1, l2 = cfg["M"], cfg["D"], cfg["l1"], cfg["l2"]
     except KeyError as exc:
@@ -274,21 +280,19 @@ def cmd_average(args) -> int:
     for key in ("M", "D", "l1", "l2", "N", "N_pi"):
         if key in cfg and not _is_int(cfg[key]):
             raise ValueError(f"config key {key!r} must be an integer")
-    for key in ("chi", "S"):
-        if key in cfg and not (
-            isinstance(cfg[key], list) and all(map(_is_int, cfg[key]))
-        ):
-            raise ValueError(f"config key {key!r} must be a list of integers")
+    if "chi" in cfg and not (
+        isinstance(cfg["chi"], list) and all(map(_is_int, cfg["chi"]))
+    ):
+        raise ValueError("config key 'chi' must be a list of integers")
     s_pair = cfg.get("s", [0.0, 0.0])
     if not (isinstance(s_pair, list) and len(s_pair) == 2 and all(
         _is_int(v) or isinstance(v, float) for v in s_pair
     )):
         raise ValueError("config key 's' must be a list of two numbers")
+    if not all(abs(v) < float("inf") for v in s_pair):  # NaN compares false
+        raise ValueError("config key 's' must be finite")
     chi = ga.DirichletChar(m, tuple(cfg.get("chi", [])))
-    gp = ga.GlobalParams(
-        D=d, l1=l1, l2=l2, N=cfg.get("N", 1),
-        M=m, chi=chi, S=tuple(cfg.get("S", ())),
-    )
+    gp = ga.GlobalParams(D=d, l1=l1, l2=l2, N=cfg.get("N", 1), M=m, chi=chi)
     s = complex(*s_pair)
     n_pi = cfg.get("N_pi", gp.N)
     _emit(
@@ -397,7 +401,7 @@ def main(argv=None) -> int:
         return cmd_verify(args)  # a failed check is exit 1, never a usage error
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         # the library validates its inputs at its boundary, so here these
         # mean an argument was rejected
         print(f"besselzeta {args.cmd}: error: {type(exc).__name__}: {exc}",

@@ -239,8 +239,7 @@ def kronecker_at_prime(d: int, p: int) -> int:
 class GlobalParams:
     """Global data (D, l1, l2, N, M, mu-tilde) with the standing hypotheses
     validated at construction: N squarefree; l1 >= l2 >= 3 of equal parity;
-    M odd, coprime to N; every prime of N M inert in Q(sqrt D); auxiliary
-    primes S coprime to D M N."""
+    M odd, coprime to N; every prime of N M inert in Q(sqrt D)."""
 
     D: int
     l1: int
@@ -248,7 +247,6 @@ class GlobalParams:
     N: int = 1
     M: int = 1
     chi: DirichletChar = None
-    S: tuple = ()
 
     def __post_init__(self):
         if not is_fundamental(self.D):
@@ -268,9 +266,6 @@ class GlobalParams:
         for p, _ in factorize(self.N * self.M):
             if kronecker_at_prime(self.D, p) != -1:
                 raise ValueError(f"prime {p} of N M is not inert in Q(sqrt D)")
-        for p in self.S:
-            if math.gcd(p, self.D * self.M * self.N) != 1:
-                raise ValueError("S must avoid the primes of D M N")
 
     @property
     def w(self) -> int:
@@ -307,15 +302,13 @@ def global_epsilon(s: complex, gp: GlobalParams, n_pi: int) -> complex:
     )
 
 
-def average_prefactor(s: complex, gp: GlobalParams, v_norm: float = 1.0) -> complex:
-    """The scalar multiplying the spectral sum in the average formula.
+def average_prefactor(s: complex, gp: GlobalParams) -> complex:
+    """The scalar multiplying the spectral sum in the average formula, at
+    archimedean vector norm (v | v) = 1:
 
     2^-2 |D|^{(3-(l1+l2)/2)/2} e^{-2 pi sqrt|D|} / (w_D^2 [K_f:K_0(N)])
       * M^{s-6} zeta_M(1) zeta_M(4) mu~(2D) G(mu~)
-      * N^{s-1} mu~^{-1}(N) prod_{p|N} (1+p^-2)^{-1}
-      * (v | v)^2,
-    the last factor being the caller-supplied archimedean vector norm
-    (default 1).
+      * N^{s-1} mu~^{-1}(N) prod_{p|N} (1+p^-2)^{-1}.
     """
     d = abs(gp.D)
     lead = (
@@ -334,7 +327,7 @@ def average_prefactor(s: complex, gp: GlobalParams, v_norm: float = 1.0) -> comp
     n_part = gp.N ** (s - 1) * gp.chi.inverse()(gp.N)
     for p, _ in factorize(gp.N):
         n_part /= 1 + p**-2
-    return lead * m_part * n_part * v_norm**2
+    return lead * m_part * n_part
 
 
 def composite_lfactors(kind: str, inputs: dict, s: complex) -> complex:

@@ -220,18 +220,13 @@ def std_lfactor(rep: LocalRep) -> RatFunc:
 EPSILON_CASES = ("ramified_spherical", "IIIa", "VIb", "old_I_IIb")
 
 
-def local_epsilon(
-    rep: LocalRep,
-    twist: TwistData,
-    case_tag: str,
-    mu_unit: RatFunc = RF_ONE,
-) -> RatFunc:
+def local_epsilon(rep: LocalRep, twist: TwistData, case_tag: str) -> RatFunc:
     """Local epsilon factor of the computed cases, as a RatFunc in T.
 
     For the ramified spherical case the Gauss-sum unit conj(W_F(mu,psi))^4
-    is carried as the opaque unit-modulus symbol W; mu(-a^-2 d) is supplied
-    by the caller as ``mu_unit``.  Numeric values of the W-symbol live in
-    the residue-ring module.
+    is carried as the opaque unit-modulus symbol W, and the factor
+    mu(-a^-2 d) is left to the caller, as are W's numeric values (the
+    residue-ring module has them).
     """
     if case_tag not in EPSILON_CASES:
         raise ValueError(f"unknown epsilon case {case_tag!r}")
@@ -246,10 +241,11 @@ def local_epsilon(
                              "and unramified twist")
         # mu(pi)^2 q^{2(1/2-s)}
         return twist.u**2 * Q**2 * T**2
-    # ramified spherical: q^{4e(1/2-s)} Lambda(pi)^{-e} mu(-a^-2 d) conj(W_F^4)
+    # ramified spherical: q^{4e(1/2-s)} Lambda(pi)^{-e} conj(W_F^4); the
+    # factor mu(-a^-2 d) is the caller's
     if rep.tag not in SPHERICAL_TAGS or twist.e <= 0:
         raise ValueError("ramified case needs type I/IIb and conductor e > 0")
     e = twist.e
     W = rf_var("W")
-    return Q ** (4 * e) * T ** (4 * e) * twist.lam ** (-e) * mu_unit * W**4
+    return Q ** (4 * e) * T ** (4 * e) * twist.lam ** (-e) * W**4
 

@@ -391,8 +391,6 @@ def recursion_consistency(rep: LocalRep) -> dict:
     lam = a * g**2
     b2_at_lambda = b2_general.subst({"K": lam})
     return {
-        "unknowns": ("B1(s2)", "B1(h(-1,1)s1s2)", "B1(h(0,1)s1s2)", "B2(1_4)"),
-        "solution": solution,
         "b2_general": b2_general,
         "kappa_value": lam,
         "b2_at_kappa": b2_at_lambda,

@@ -15,14 +15,14 @@ The Galois ring GR(p^e, 2) is realized as Z/p^e[x]/(x^2 - c) with c a
 quadratic non-residue mod p; the nontrivial automorphism is x -> -x, so
 norm and trace are N(a+bx) = a^2 - c b^2 and tr(a+bx) = 2a.
 
-Enumeration kernels are pure functions over immutable ring tables.  The
-coset-sum oracle sums each distinct unit integral once per call: the
-integral at (n, scale) is a function of the character and of the exact
-key {p^n scale}_p = r0 / p^k alone, so a repeated key reuses the float its
-first sum gave, bit for bit.  At p^k > p^e it sums over a = b + p^e t, a
-sum over the units b mod p^e times a character-free sum over t, both
-enumerated; unit_psi_mu_integral remains the brute force over every unit
-that checks the vanishing lemma.  No sum is kept between calls.
+Enumeration kernels are pure functions over immutable ring tables.
+unit_psi_mu_integral, the vanishing lemma's brute force, sums psi(pi^n a)
+mu(a) over every unit.  The coset-sum oracle sums each distinct unit
+integral once per call: the integral at (n, scale) is a function of the
+character and of the exact key {p^n scale}_p = r0 / p^k alone, so a
+repeated key reuses the float its first sum gave, bit for bit.  At p^k > p^e
+it sums over a = b + p^e t, a sum over the units b mod p^e times a
+character-free sum over t, both enumerated.  No sum is kept between calls.
 """
 
 from __future__ import annotations
@@ -300,23 +300,13 @@ def gauss_sum_F(mu: MultChar, pi_choice: complex = 1.0) -> complex:
     return pe ** -0.5 * pi_choice ** (-ring.e) * _unit_char_sum(mu, pe, 1)
 
 
-def unit_psi_mu_integral(mu: MultChar, n: int, scale: Fraction = Fraction(1)) -> complex:
+def unit_psi_mu_integral(mu: MultChar, n: int) -> complex:
     """Brute force of the multiplicative unit integral
-    int_{o^*} psi(pi^n * scale * a) mu(a) d^x a  with vol(o^*) = 1.
-
-    ``scale`` is any nonzero rational; the integral is computed as an exact
-    average over units modulo p^K at a sufficiently deep level K.
+    int_{o^*} psi(pi^n a) mu(a) d^x a  with vol(o^*) = 1,
+    an exact average over the units modulo p^K, K = max(e, -n, 1).
     """
-    scale = Fraction(scale)
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
-    return _unit_integral_sum(mu, *_unit_integral_key(mu.ring.p, n, scale))
-
-
-def _unit_integral_key(p: int, n: int, scale: Fraction) -> tuple:
-    """(p^k, r0) with {p^n * scale}_p = r0 / p^k: the unit integral at
-    (n, scale) depends on nothing else, for a given character."""
-    return _p_adic_frac(Fraction(p) ** n * scale, p)
+    p = mu.ring.p
+    return _unit_integral_sum(mu, *_p_adic_frac(Fraction(p) ** n, p))
 
 
 def _unit_integral_sum(mu: MultChar, pk: int, r0: int) -> complex:
@@ -368,13 +358,16 @@ def _oracle_unit_integral(mu: MultChar, pk: int, r0: int) -> complex:
     return outer * inner / (pk - pk // p)
 
 
-def gauss_sum_lemma_value(mu: MultChar, n: int, pi_choice: complex = 1.0) -> complex:
-    """Closed form of the unit-integral lemma: nonzero only at n = -e."""
+def gauss_sum_lemma_value(mu: MultChar, n: int) -> complex:
+    """Closed form of the unit-integral lemma: nonzero only at n = -e.
+
+    The lemma's factor mu(pi)^e W_F(mu, psi) does not depend on mu(pi),
+    which cancels against the mu(pi)^{-e} inside W_F."""
     ring = mu.ring
     if n != -ring.e:
         return 0j
     p, e = ring.p, ring.e
-    return p ** (-e / 2 + 1) / (p - 1) * pi_choice**e * gauss_sum_F(mu, pi_choice)
+    return p ** (-e / 2 + 1) / (p - 1) * gauss_sum_F(mu)
 
 
 def gauss_sum_L(mu: MultChar, gring: GaloisRing, pi_choice: complex = 1.0) -> complex:
@@ -624,9 +617,10 @@ def y_eta_check(setup: BesselSetup, b2: int, b3: int, e: int) -> dict:
 
 def zeta_case2_3_closed(
     setup: BesselSetup, e: int, mu: MultChar, pi_choice: complex, s: complex,
-    lam: complex = 1.0,
 ) -> tuple:
-    """The two displayed closed forms of the ramified-twist proposition."""
+    """The two displayed closed forms of the ramified-twist proposition,
+    at Lambda(pi) = 1: Lambda(pi) enters only Z(phi-hat), as the factor
+    Lambda(pi)^{-e}, which the caller applies."""
     p = setup.p
     d = setup.disc
     a = setup.a
@@ -643,7 +637,6 @@ def zeta_case2_3_closed(
         (-1) ** e
         * p ** (e * (3 * s - 5.5) + 5)
         * lead
-        * lam ** (-e)
         * mu.value_at_rational(Fraction(-(a**2), 2))
         * w_l
         * w_f
@@ -664,9 +657,10 @@ def zeta_case2_3_cosets(
     pi_choice: complex,
     s: complex,
     bessel_diag,
-    lam: complex = 1.0,
 ) -> tuple:
-    """Independent route: the finite coset sum over K_0^#(p^e) \\ K^#.
+    """Independent route: the finite coset sum over K_0^#(p^e) \\ K^#,
+    at Lambda(pi) = 1 as in zeta_case2_3_closed: Lambda(pi) enters only the
+    Weyl-type section values, as the factor Lambda(pi)^{-e} on Z(phi-hat).
 
     Representatives are lower-unipotents [[1,0],[xi,1]] (xi in p o_L/p^e)
     and Weyl-type [[0,-1],[1,eta^dagger]] (eta in o_L/p^e).  Section
@@ -680,8 +674,7 @@ def zeta_case2_3_cosets(
     coset's inner sum depends on eta only through the valuation v it
     reduces to.  Nothing is kept between calls.  At p^k > p^e the sum runs
     over a = b + p^e t, a sum over the units b mod p^e times a sum over t,
-    with both factors enumerated; unit_psi_mu_integral remains the brute
-    force over every unit that checks the vanishing lemma.
+    with both factors enumerated.
 
     A Weyl coset's v = a^6 d/4 + N(eta) is p-integral, and when v = 0 or
     ord_p(v) > e its lift v + p^e has valuation exactly e, the smaller of
@@ -696,7 +689,7 @@ def zeta_case2_3_cosets(
     weights = {}                # n -> u^n q^{-n(s-1)}
 
     def term(n: int, scale: Fraction) -> complex:
-        key = _unit_integral_key(p, n, scale)
+        key = _p_adic_frac(Fraction(p) ** n * scale, p)
         integral = sums.get(key)
         if integral is None:
             integral = sums[key] = _oracle_unit_integral(mu, *key)
@@ -729,9 +722,7 @@ def zeta_case2_3_cosets(
     # phi-hat route: only the Weyl-type representatives survive (c must be
     # a unit), each contributing through its Y_eta reduction
     w_l = gauss_sum_L(mu, setup.galois_ring(e), pi_choice)
-    f_hat = (
-        p ** (e * (2 * s - 3) + 2) / (p**2 - 1) * lam ** (-e) * w_l
-    )
+    f_hat = p ** (e * (2 * s - 3) + 2) / (p**2 - 1) * w_l
     inner = {}                  # v -> the coset's sum over n
     z_hat = 0j
     for b2 in range(pe):
@@ -761,16 +752,16 @@ def zeta_case2_3_numeric(
     pi_choice: complex,
     s: complex,
     bessel_diag,
-    lam: complex = 1.0,
     tol: float = 1e-8,
 ) -> dict:
-    """Closed forms and coset-sum oracle for the ramified-twist integrals.
+    """Closed forms and coset-sum oracle for the ramified-twist integrals,
+    at Lambda(pi) = 1 (Z(phi-hat) carries Lambda(pi)^{-e} otherwise).
 
     Returns both routes and their absolute differences; raises if the
     routes disagree beyond ``tol`` times max(1, |closed form|).
     """
-    closed = zeta_case2_3_closed(setup, e, mu, pi_choice, s, lam)
-    oracle = zeta_case2_3_cosets(setup, e, mu, pi_choice, s, bessel_diag, lam)
+    closed = zeta_case2_3_closed(setup, e, mu, pi_choice, s)
+    oracle = zeta_case2_3_cosets(setup, e, mu, pi_choice, s, bessel_diag)
     errs = tuple(abs(c - o) for c, o in zip(closed, oracle))
     scale = max(1.0, max(abs(c) for c in closed))
     if max(errs) > tol * scale:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -20,7 +21,10 @@ from besselzeta.classgroup import (
     reduced_forms,
     t_theta,
     t_theta_principal,
+    unit_count,
 )
+from besselzeta.globalasm import kronecker_at_prime
+from besselzeta.padicring import factorize
 
 LISTED = (-3, -4, -7, -8, -11, -15, -20, -23, -47)
 
@@ -424,16 +428,40 @@ def test_class_group_equals_xgcd_version(monkeypatch):
 STRUCTURE_DIGEST = "3a15b5d89469d51f5a215079c04f06933e2243f46010c8049911d27a78abb259"
 
 
+@lru_cache(maxsize=None)
+def _groups_below_1000() -> tuple:
+    """The class groups of the 305 fundamental D in (-1000, -2]."""
+    return tuple(ClassGroup(d) for d in range(-999, -1) if is_fundamental(d))
+
+
 def test_class_group_structure_digest():
-    rows = []
-    for d in range(-999, -1):
-        if is_fundamental(d):
-            grp = ClassGroup(d)
-            rows.append([d, grp.h, grp.identity, list(grp.invariants),
-                         [list(grp.coords(f)) for f in grp.classes]])
+    rows = [[grp.D, grp.h, grp.identity, list(grp.invariants),
+             [list(grp.coords(f)) for f in grp.classes]]
+            for grp in _groups_below_1000()]
     assert len(rows) == 305
     assert ClassGroup(-840).structure_label() == "C2 x C2 x C2"
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == STRUCTURE_DIGEST
+
+
+def _kronecker(d: int, a: int) -> int:
+    """The Kronecker symbol (d/a) for a >= 1, multiplied out over the
+    prime factors of a."""
+    out = 1
+    for p, k in factorize(a):
+        out *= kronecker_at_prime(d, p) ** k
+    return out
+
+
+def test_class_numbers_against_dirichlet_formula():
+    """h(D) = -(w / 2|D|) sum_{a=1}^{|D|-1} (D/a) a (Cohen, GTM 138, 5.3),
+    a route that never enumerates reduced forms, for all 305 fundamental
+    D in (-1000, -2]."""
+    groups = _groups_below_1000()
+    assert len(groups) == 305
+    for grp in groups:
+        d = grp.D
+        total = sum(_kronecker(d, a) * a for a in range(1, -d))
+        assert 2 * -d * grp.h == -unit_count(d) * total, d
 
 
 def test_bessel_coeff_sum_equals_per_class_inverse():

@@ -288,6 +288,15 @@ def test_zeta_local_case1_compares_two_routes(monkeypatch):
     '{"D": -23, "l1": 6, "l2": 4, "M": 7, "S": [3, "11"]}',
     '{"D": -23, "l1": 6, "l2": 4, "M": 7, "s": [1.0, "x"]}',
     '{"D": -23, "l1": 6, "l2": 4, "M": 7, "s": [1.0, 0.0, 2.0]}',
+    # keys that average does not read: a misspelt N, and the auxiliary primes
+    '{"D": -23, "l1": 6, "l2": 4, "n": 5, "M": 7, "chi": [1], "s": [1.0, 0.0]}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 7, "chi": [1], "S": [3]}',
+    # an s that is not finite, and finite ones at which a constant is
+    # infinite or overflows
+    '{"D": -23, "l1": 6, "l2": 4, "M": 1, "s": [Infinity, 0]}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 1, "s": [NaN, 0]}',
+    '{"D": -23, "l1": 6, "l2": 4, "M": 1, "s": [300.0, 0.0]}',
+    '{"D": -23, "l1": 6, "l2": 4, "N": 5, "M": 7, "chi": [1], "s": [-400.0, 0.0]}',
 ])
 def test_average_bad_config_exits_2(config, tmp_path, capsys):
     path = tmp_path / "avg.json"

@@ -171,8 +171,6 @@ def test_global_params_validation():
         GlobalParams(D=-23, l1=6, l2=4, N=3)  # 3 splits in Q(sqrt -23)
     with pytest.raises(ValueError):
         GlobalParams(D=-23, l1=6, l2=4, N=5, M=15)  # gcd(M, N) != 1
-    with pytest.raises(ValueError):
-        GlobalParams(D=-23, l1=6, l2=4, S=(23,))
     gp = GlobalParams(D=-23, l1=6, l2=4, N=5, M=7, chi=DirichletChar(7, (1,)))
     assert gp.w == 2
 
@@ -217,8 +215,6 @@ def test_average_prefactor_pins():
     got = average_prefactor(1.0, gp)
     assert abs(got - want) <= 1e-14 * abs(want)
     assert gp.w == 4  # the 1/16 is w_D^2
-    # caller-supplied archimedean norm enters squared
-    assert abs(average_prefactor(1.0, gp, v_norm=3.0) - 9 * want) < 1e-12 * abs(want)
 
 
 def test_siegel_index():

@@ -20,6 +20,7 @@ from besselzeta.padicring import (
     MultChar,
     ResidueRing,
     _p_adic_frac,
+    _unit_integral_sum,
     factorize,
     gauss_sum_F,
     gauss_sum_L,
@@ -604,13 +605,17 @@ def test_table_kernels_equal_per_term_sums(p, e):
             mu(p)
         with pytest.raises(ValueError):
             mu(0)
-    # the unit integral sums over units mod up to p^(e+3): two characters
+    # the unit integral sums over units mod up to p^(e+3): two characters;
+    # at a rational scale it is the sum at the key {p^n scale}_p, as the
+    # coset oracle takes it, and at scale 1 the lemma's brute force
     for mu in chars[:2]:
         for scale in scales:
             for n in range(-e - 3, -e + 4):
-                got = unit_psi_mu_integral(mu, n, scale)
+                got = _unit_integral_sum(mu, *_p_adic_frac(Fraction(p) ** n * scale, p))
                 assert got == _ref_unit_integral(mu, n, scale), (mu, n, scale)
                 assert got == _parent_unit_psi_mu_integral(mu, n, scale), (mu, n, scale)
+                if scale == 1:
+                    assert unit_psi_mu_integral(mu, n) == got, (mu, n)
 
 
 # the unit integral and the coset-sum oracle as they were before the oracle
@@ -743,11 +748,11 @@ def _parent_zeta_case2_3_cosets(setup, e, mu, pi_choice, s, bessel_diag, lam=1.0
 
 
 # S inert at p, as in the benchmark's coset set-ups, plus one deeper level;
-# each is run at these (u, s, lam)
+# each is run at these (u, s)
 ORACLE_SETUPS = (((1, 0, 1), 3, 1), ((1, 1, 1), 5, 1), ((1, 0, 1), 7, 1),
                  ((1, 0, 1), 3, 2))
-ORACLE_POINTS = ((cmath.exp(0.4j), 0.3, 1.0), (cmath.exp(2.1j), 0.7 + 0.2j, 1.0),
-                 (cmath.exp(-1.3j), 1.1 - 0.25j, cmath.exp(0.5j)))
+ORACLE_POINTS = ((cmath.exp(0.4j), 0.3), (cmath.exp(2.1j), 0.7 + 0.2j),
+                 (cmath.exp(-1.3j), 1.1 - 0.25j))
 
 
 def _diag_at(p):
@@ -761,9 +766,9 @@ def _diag_at(p):
 def test_coset_oracle_equals_parent_code(abc, p, e):
     setup, diag = BesselSetup(*abc, p), _diag_at(p)
     for mu in MultChar.primitive_chars(ResidueRing(p, e))[:2]:
-        for u, s, lam in ORACLE_POINTS:
-            got = zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
-            want = _parent_zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
+        for u, s in ORACLE_POINTS:
+            got = zeta_case2_3_cosets(setup, e, mu, u, s, diag)
+            want = _parent_zeta_case2_3_cosets(setup, e, mu, u, s, diag)
             assert got == want, (abc, p, e, mu, u, s)
 
 
@@ -783,8 +788,8 @@ def test_oracle_unit_integral_equals_the_unit_sum(monkeypatch):
     for abc, p, e in ORACLE_SETUPS:
         setup, diag = BesselSetup(*abc, p), _diag_at(p)
         for mu in MultChar.primitive_chars(ResidueRing(p, e))[:2]:
-            for u, s, lam in ORACLE_POINTS:
-                pr.zeta_case2_3_cosets(setup, e, mu, u, s, diag, lam)
+            for u, s in ORACLE_POINTS:
+                pr.zeta_case2_3_cosets(setup, e, mu, u, s, diag)
     deep = 0
     for p, e, k, pk, r0 in sorted(keys):
         mu = MultChar(ResidueRing(p, e), k)
