@@ -22,7 +22,7 @@ import mpmath
 from .classgroup import is_fundamental, unit_count
 from .localrep import spinor_lfactor
 from .padicring import (MultChar, ResidueRing, _unit_char_sum, factorize,
-                        gauss_sum_F, is_squarefree, legendre)
+                        is_squarefree, legendre)
 
 _TWO_PI = 2 * math.pi
 
@@ -208,21 +208,14 @@ class DirichletChar:
     def gauss_sum(self) -> complex:
         """G(chi) = sum_a chi(a) e^{2 pi i a / M}, assembled by CRT.
 
-        Each prime-power block contributes its local Gauss sum (the W_F of
-        the residue-ring machinery when primitive, the raw sum otherwise)
-        twisted by the complementary-factor value.
+        Each prime-power block q contributes its raw unit sum
+        sum_a chi_q(a) e^{2 pi i a / q}, primitive or not, twisted by the
+        complementary-factor value chi_q(M / q); M = 1 is the empty product.
         """
-        if self.modulus == 1:
-            return 1 + 0j
         total = 1 + 0j
         for comp in self.components:
             q = comp.ring.modulus
-            cofactor = self.modulus // q
-            if comp.conductor == comp.ring.e:
-                local = q**0.5 * gauss_sum_F(comp, 1.0)
-            else:
-                local = _unit_char_sum(comp, q, 1)
-            total *= comp(cofactor % q) * local
+            total *= comp(self.modulus // q % q) * _unit_char_sum(comp, q, 1)
         return total
 
 
@@ -239,7 +232,8 @@ def kronecker_at_prime(d: int, p: int) -> int:
 class GlobalParams:
     """Global data (D, l1, l2, N, M, mu-tilde) with the standing hypotheses
     validated at construction: N squarefree; l1 >= l2 >= 3 of equal parity;
-    M odd, coprime to N; every prime of N M inert in Q(sqrt D)."""
+    M odd (checked by the DirichletChar of modulus M), coprime to N; every
+    prime of N M inert in Q(sqrt D)."""
 
     D: int
     l1: int
@@ -255,8 +249,6 @@ class GlobalParams:
             raise ValueError("N must be a squarefree positive integer")
         if not (self.l1 >= self.l2 >= 3 and (self.l1 - self.l2) % 2 == 0):
             raise ValueError("need l1 >= l2 >= 3 with l1 = l2 mod 2")
-        if self.M % 2 == 0:
-            raise ValueError("M must be odd")
         if math.gcd(self.M, self.N) != 1:
             raise ValueError("M and N must be coprime")
         chi = self.chi if self.chi is not None else DirichletChar.trivial(self.M)
@@ -289,11 +281,11 @@ def zeta_partial(n: int, s: int) -> float:
 
 
 def global_epsilon(s: complex, gp: GlobalParams, n_pi: int) -> complex:
-    """epsilon(s, pi, mu) = (-1)^{l2} mu~(N_pi^2) (G(mu~)/sqrt M)^4 (M^4 N_pi^2)^{1/2-s}."""
-    if gp.N % n_pi:
-        raise ValueError("N_pi must divide N")
-    g = gp.chi.gauss_sum()
-    root = g / math.sqrt(gp.M) if gp.M > 1 else 1.0
+    """epsilon(s, pi, mu) = (-1)^{l2} mu~(N_pi^2) (G(mu~)/sqrt M)^4 (M^4 N_pi^2)^{1/2-s},
+    for N_pi a positive divisor of N (anything else raises ValueError)."""
+    if n_pi < 1 or gp.N % n_pi:
+        raise ValueError(f"N_pi = {n_pi} is not a positive divisor of N = {gp.N}")
+    root = gp.chi.gauss_sum() / math.sqrt(gp.M)
     return (
         (-1) ** gp.l2
         * gp.chi(n_pi**2)

@@ -417,9 +417,7 @@ def t_factor(rep: LocalRep, twist: TwistData, p) -> float:
     tr = _hecke_trace(hecke_matrices(rep), RatFunc.const(1 / p_exact))
     # Satake parameters are folded into the matrices; only Q remains free
     tr_val = tr.evaluate(point)
-    u = twist.u.evaluate(point) if twist.u.variables() else complex(
-        twist.u.const_value()
-    )
+    u = twist.u.evaluate(point)
     lstd = std_lfactor(rep).evaluate({"T": 1.0 / pf, "Q": math.sqrt(pf)})
     # rational inputs at real points: the imaginary part is 0
     val = 2 * (pf - 1) * pf**-5 * lstd * (1 + u**2 - u / (pf + 1) * tr_val)

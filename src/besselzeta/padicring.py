@@ -20,9 +20,10 @@ unit_psi_mu_integral, the vanishing lemma's brute force, sums psi(pi^n a)
 mu(a) over every unit.  The coset-sum oracle sums each distinct unit
 integral once per call: the integral at (n, scale) is a function of the
 character and of the exact key {p^n scale}_p = r0 / p^k alone, so a
-repeated key reuses the float its first sum gave, bit for bit.  At p^k > p^e
-it sums over a = b + p^e t, a sum over the units b mod p^e times a
-character-free sum over t, both enumerated.  No sum is kept between calls.
+repeated key reuses the float its first sum gave, bit for bit.  Every such
+integral is a sum over a = b + p^e t, a sum over the units b mod p^e times
+a character-free sum over t, both enumerated (one term t = 0 at p^k <= p^e).
+No sum is kept between calls.
 """
 
 from __future__ import annotations
@@ -337,16 +338,14 @@ def _unit_char_sum(mu: MultChar, pk: int, r0: int) -> complex:
 def _oracle_unit_integral(mu: MultChar, pk: int, r0: int) -> complex:
     """The unit integral with {x}_p = r0 / p^k, as the coset oracle takes it.
 
-    At p^k <= p^e it is _unit_integral_sum.  At p^k > p^e each unit a mod
-    p^k is b + p^e t with b a unit mod p^e, so mu(a) = mu(b) and
-    psi(r0 a / p^k) = psi(r0 b / p^k) psi(r0 t / p^(k-e)): the sum is a sum
-    over b times the character-free sum over t, and both are enumerated,
-    not assumed to vanish.
+    Each unit a mod max(p^e, p^k) is b + p^e t with b a unit mod p^e, so
+    mu(a) = mu(b) and psi(r0 a / p^k) = psi(r0 b / p^k) psi(r0 t / p^(k-e)):
+    the sum is a sum over b times the character-free sum over t, and both
+    are enumerated, not assumed to vanish.  At p^k <= p^e the t-sum is the
+    one term psi(0) = 1, and the float is _unit_integral_sum's.
     """
     ring = mu.ring
     p, pe = ring.p, ring.modulus
-    if pk <= pe:
-        return _unit_integral_sum(mu, pk, r0)
     psi, values = ring._roots(pk), mu._values
     outer = 0j
     for b in range(1, pe):
@@ -355,7 +354,8 @@ def _oracle_unit_integral(mu: MultChar, pk: int, r0: int) -> complex:
     inner = 0j
     for t in range(0, pk, pe):
         inner += psi[r0 * t % pk]
-    return outer * inner / (pk - pk // p)
+    units = max(pe, pk)
+    return outer * inner / (units - units // p)
 
 
 def gauss_sum_lemma_value(mu: MultChar, n: int) -> complex:
@@ -672,9 +672,9 @@ def zeta_case2_3_cosets(
     function of the exact key (p^k, r0) with {p^n * scale}_p = r0/p^k, so
     a repeated key gets the very float its first sum gave; likewise a Weyl
     coset's inner sum depends on eta only through the valuation v it
-    reduces to.  Nothing is kept between calls.  At p^k > p^e the sum runs
+    reduces to.  Nothing is kept between calls.  At every p^k the sum runs
     over a = b + p^e t, a sum over the units b mod p^e times a sum over t,
-    with both factors enumerated.
+    with both factors enumerated (at p^k <= p^e the t-sum is one term).
 
     A Weyl coset's v = a^6 d/4 + N(eta) is p-integral, and when v = 0 or
     ord_p(v) > e its lift v + p^e has valuation exactly e, the smaller of

@@ -297,6 +297,9 @@ def test_zeta_local_case1_compares_two_routes(monkeypatch):
     '{"D": -23, "l1": 6, "l2": 4, "M": 1, "s": [NaN, 0]}',
     '{"D": -23, "l1": 6, "l2": 4, "M": 1, "s": [300.0, 0.0]}',
     '{"D": -23, "l1": 6, "l2": 4, "N": 5, "M": 7, "chi": [1], "s": [-400.0, 0.0]}',
+    # an N_pi that is not a positive divisor of N
+    '{"D": -23, "l1": 6, "l2": 4, "N": 5, "N_pi": -5, "M": 7, "chi": [1]}',
+    '{"D": -23, "l1": 6, "l2": 4, "N": 5, "N_pi": 0, "M": 7, "chi": [1]}',
 ])
 def test_average_bad_config_exits_2(config, tmp_path, capsys):
     path = tmp_path / "avg.json"
@@ -306,6 +309,8 @@ def test_average_bad_config_exits_2(config, tmp_path, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error" in err
+    if config is not None and '"N_pi": ' in config:
+        assert "N_pi" in err  # the message names the key
 
 
 def test_verify_failure_is_not_a_usage_error(monkeypatch):

@@ -113,7 +113,7 @@ def test_dirichlet_char_basics():
     assert chi.is_primitive and chi(5 - 1) == 1
     assert all(min(abs(chi(a)), abs(chi(a) - 1), abs(chi(a) + 1)) < 1e-12 for a in range(5))
     triv = DirichletChar.trivial(1)
-    assert triv(7) == 1 and triv.gauss_sum() == 1
+    assert triv(7) == 1 and repr(triv.gauss_sum()) == repr(1 + 0j)
     with pytest.raises(ValueError):
         DirichletChar(6, (0,))
 
@@ -165,8 +165,9 @@ def test_global_params_validation():
         GlobalParams(D=-23, l1=6, l2=3)  # parity
     with pytest.raises(ValueError):
         GlobalParams(D=-23, l1=4, l2=2)  # l2 < 3
-    with pytest.raises(ValueError):
-        GlobalParams(D=-23, l1=6, l2=4, M=6)  # even M
+    for m in (6, 0, -3):  # even or not positive: DirichletChar rejects M
+        with pytest.raises(ValueError):
+            GlobalParams(D=-23, l1=6, l2=4, M=m)
     with pytest.raises(ValueError):
         GlobalParams(D=-23, l1=6, l2=4, N=3)  # 3 splits in Q(sqrt -23)
     with pytest.raises(ValueError):
@@ -197,6 +198,25 @@ def test_global_epsilon_center_pins():
     assert abs(global_epsilon(0.5, gp, 5) - 1) < 1e-9
     gp = GlobalParams(D=-23, l1=5, l2=3, N=5, M=17, chi=chi)
     assert abs(global_epsilon(0.5, gp, 5) + 1) < 1e-9
+
+
+def test_global_epsilon_at_m_1_equals_parent_code():
+    """At M = 1, G = 1 + 0j and sqrt M = 1 give the float that the parent's
+    root = 1.0 gave, bit for bit."""
+    for l2, n in ((4, 35), (3, 35), (4, 1)):
+        gp = GlobalParams(D=-23, l1=l2 + 2, l2=l2, N=n, M=1)
+        for n_pi in (d for d in range(1, n + 1) if n % d == 0):
+            for s in (0.5, 1.0, 0.3 - 2.5j, -1.25 + 0.75j, 7 + 1e-3j):
+                want = ((-1) ** l2 * gp.chi(n_pi**2) * 1.0**4
+                        * (gp.M**4 * n_pi**2) ** (0.5 - s))
+                assert repr(global_epsilon(s, gp, n_pi)) == repr(want), (l2, n_pi, s)
+
+
+def test_global_epsilon_needs_a_positive_divisor_of_n():
+    gp = GlobalParams(D=-23, l1=6, l2=4, N=5, M=7, chi=DirichletChar(7, (1,)))
+    for n_pi in (0, -5, -1, 2, 10):
+        with pytest.raises(ValueError, match=f"N_pi = {n_pi} is not a positive divisor"):
+            global_epsilon(0.5, gp, n_pi)
 
 
 def test_global_epsilon_modulus_and_fe():

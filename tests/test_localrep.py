@@ -14,7 +14,7 @@ from besselzeta.localrep import (
     spinor_lfactor,
     std_lfactor,
 )
-from besselzeta.localzeta import t_factor
+from besselzeta.localzeta import _hecke_trace, hecke_matrices, t_factor
 from besselzeta.symfield import RF_ONE, RatFunc, parse_ratfunc, rf_var
 
 U_TWIST = TwistData(u=rf_var("U"))
@@ -137,6 +137,24 @@ def test_t_factor_spherical_independent_oracle():
     want = 2 * (q - 1) * q**-5 * lstd * (1 + 1 - (1 / (q + 1)) * (4 * q**1.5 / q))
     assert abs(got - want) < 1e-15
     assert abs(got - (2 - math.sqrt(3)) / 8) < 1e-12
+
+
+@pytest.mark.parametrize("u", (Fraction(1, 2), Fraction(-2, 3), Fraction(3)))
+def test_t_factor_constant_u_equals_parent_code(u):
+    """A constant mu(p) is evaluated as a RatFunc, and gives the float
+    that the parent's complex(u.const_value()) gave, bit for bit."""
+    for rep in (LocalRep("I", (1, 1, 1)), LocalRep("I", (2, Fraction(1, 3), 5)),
+                LocalRep("IIb", (Fraction(-1, 2), 3))):
+        for p in (3, 5, 7):
+            pf = float(p)
+            point = {"Q": math.sqrt(pf)}
+            tr = _hecke_trace(hecke_matrices(rep), RatFunc.const(Fraction(1, p)))
+            lstd = std_lfactor(rep).evaluate({"T": 1.0 / pf, "Q": math.sqrt(pf)})
+            w = complex(u)
+            want = 2 * (pf - 1) * pf**-5 * lstd * (
+                1 + w**2 - w / (pf + 1) * tr.evaluate(point))
+            got = t_factor(rep, TwistData(u=RatFunc.const(u)), p)
+            assert repr(got) == repr(want.real), (rep, p, u)
 
 
 def test_t_factor_ramified_rejected():

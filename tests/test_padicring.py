@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from besselzeta.globalasm import DirichletChar
@@ -640,9 +641,10 @@ def _parent_unit_psi_mu_integral(mu, n, scale=Fraction(1)):
     return total / (pK - pK // p)
 
 
-# W_F and the Gauss sum of a Dirichlet character as they were before both
-# took the unit character sum of the unit integral, kept as written; they
-# must give the same floats bit for bit
+# W_F as it was before it took the unit character sum of the unit integral,
+# kept as written, and the Gauss sum of a Dirichlet character as the raw
+# per-element sum of each prime-power block; they must give the same floats
+# bit for bit
 
 
 def _parent_gauss_sum_F(mu, pi_choice=1.0):
@@ -660,11 +662,8 @@ def _parent_dirichlet_gauss_sum(chi):
     for comp in chi.components:
         q = comp.ring.modulus
         cofactor = chi.modulus // q
-        if comp.conductor == comp.ring.e:
-            local = q**0.5 * _parent_gauss_sum_F(comp, 1.0)
-        else:
-            psi = comp.ring._roots(q)
-            local = sum(comp(a) * psi[a] for a in comp.ring.units())
+        psi = comp.ring._roots(q)
+        local = sum(comp(a) * psi[a] for a in comp.ring.units())
         total *= comp(cofactor % q) * local
     return total
 
@@ -686,6 +685,28 @@ def test_dirichlet_gauss_sum_equals_parent_code(m):
         imprimitive += not chi.is_primitive
         assert repr(chi.gauss_sum()) == repr(_parent_dirichlet_gauss_sum(chi)), (m, ks)
     assert imprimitive > 0
+
+
+def test_dirichlet_gauss_sum_meets_a_40_digit_sum():
+    """G(chi) for every character mod 7, 9, 25, 27, 45 and 63, against
+    sum_a chi(a) e^{2 pi i a / M} at 40 digits, with chi(a) taken from the
+    exact exponents of its blocks."""
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m in (7, 9, 25, 27, 45, 63):
+            orders = [p ** (k - 1) * (p - 1) for p, k in factorize(m)]
+            for ks in itertools.product(*map(range, orders)):
+                chi = DirichletChar(m, ks)
+                want = mpmath.mpc(0)
+                for a in range(1, m):
+                    if math.gcd(a, m) == 1:
+                        turns = Fraction(a, m) + sum(
+                            Fraction(c.value_exponent(a), c.ring.unit_order)
+                            for c in chi.components)
+                        want += mpmath.expjpi(2 * mpmath.mpf(turns.numerator)
+                                              / turns.denominator)
+                worst = max(worst, abs(chi.gauss_sum() - complex(want)))
+    assert worst <= 3e-14
 
 
 def _parent_zeta_case2_3_cosets(setup, e, mu, pi_choice, s, bessel_diag, lam=1.0):
@@ -774,8 +795,9 @@ def test_coset_oracle_equals_parent_code(abc, p, e):
 
 def test_oracle_unit_integral_equals_the_unit_sum(monkeypatch):
     """On every key the oracle meets over ORACLE_SETUPS and ORACLE_POINTS,
-    its unit integral is _unit_integral_sum's float at p^k <= p^e, and
-    within 1e-15 of it at p^k > p^e, where it sums over a = b + p^e t."""
+    its sum over a = b + p^e t gives _unit_integral_sum's float at
+    p^k <= p^e, where the t-sum is the one term psi(0) = 1, and comes within
+    1e-15 of it at p^k > p^e."""
     import besselzeta.padicring as pr
 
     keys, real = set(), pr._oracle_unit_integral
